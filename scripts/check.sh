@@ -193,7 +193,7 @@ for tree in "$build_dir" "$tsan_dir"; do
       --out "$trace_tmp/scale-$name-t$t" \
       --devices "$scale_devices" --days "$scale_days" --threads "$t"
   done
-  for f in records.txt metrics.txt probe.txt; do
+  for f in records.bin metrics.txt probe.txt; do
     if ! cmp -s "$trace_tmp/scale-$name-t1/$f" "$trace_tmp/scale-$name-t4/$f"; then
       echo "check.sh: FAIL: scale smoke ($name): $f differs between threads=1 and threads=4" >&2
       exit 1

@@ -56,7 +56,7 @@ while :; do
   args=("--out" "$out_dir" "$@")
   if [[ $attempt -gt 0 && -f "$ckpt" ]]; then
     # A previous attempt left a durable checkpoint: resume from it. The
-    # harness truncates records.txt back to the checkpointed offset itself.
+    # harness truncates records.bin back to the checkpointed offset itself.
     args+=("--resume")
   fi
 

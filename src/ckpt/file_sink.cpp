@@ -7,138 +7,8 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "records/cdr.hpp"
-#include "records/xdr.hpp"
-#include "signaling/transaction.hpp"
 
 namespace wtr::ckpt {
-
-namespace {
-
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);  // bit-exact round trip
-  return buf;
-}
-
-}  // namespace
-
-TraceFileSink::TraceFileSink(std::string path, bool resume)
-    : path_(std::move(path)) {
-  file_ = std::fopen(path_.c_str(), resume ? "r+b" : "wb");
-  if (file_ == nullptr) {
-    throw std::runtime_error("TraceFileSink: cannot open " + path_ + ": " +
-                             std::strerror(errno));
-  }
-  if (resume) {
-    // The cursor lands wherever restore_state puts it; until then, append.
-    std::fseek(file_, 0, SEEK_END);
-    const auto end = std::ftell(file_);
-    offset_ = end < 0 ? 0 : static_cast<std::uint64_t>(end);
-  }
-}
-
-TraceFileSink::~TraceFileSink() {
-  if (file_ != nullptr) {
-    std::fflush(file_);
-    std::fclose(file_);
-  }
-}
-
-void TraceFileSink::flush_and_sync() {
-  obs::TraceSpan span(trace_, trace_track_, obs::TraceCat::kSink, "sink_flush");
-  span.set_args("bytes", static_cast<std::int64_t>(offset_));
-  if (std::fflush(file_) != 0) {
-    throw std::runtime_error("TraceFileSink: fflush failed for " + path_ + ": " +
-                             std::strerror(errno));
-  }
-  if (::fsync(::fileno(file_)) != 0) {
-    throw std::runtime_error("TraceFileSink: fsync failed for " + path_ + ": " +
-                             std::strerror(errno));
-  }
-}
-
-void TraceFileSink::write_line(const std::string& line) {
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-    throw std::runtime_error("TraceFileSink: short write to " + path_);
-  }
-  offset_ += line.size();
-}
-
-void TraceFileSink::on_signaling(const signaling::SignalingTransaction& txn,
-                                 bool data_context) {
-  std::string line = "S:";
-  for (const auto& field : signaling::to_csv_fields(txn)) {
-    line += field;
-    line += ',';
-  }
-  line += data_context ? "dc\n" : "-\n";
-  write_line(line);
-}
-
-void TraceFileSink::on_cdr(const records::Cdr& cdr) {
-  std::string line = "C:";
-  for (const auto& field : records::to_csv_fields(cdr)) {
-    line += field;
-    line += ',';
-  }
-  line += '\n';
-  write_line(line);
-}
-
-void TraceFileSink::on_xdr(const records::Xdr& xdr) {
-  std::string line = "X:";
-  for (const auto& field : records::to_csv_fields(xdr)) {
-    line += field;
-    line += ',';
-  }
-  line += '\n';
-  write_line(line);
-}
-
-void TraceFileSink::on_dwell(signaling::DeviceHash device, std::int32_t day,
-                             cellnet::Plmn visited_plmn,
-                             const cellnet::GeoPoint& location, double seconds) {
-  std::string line = "D:";
-  line += std::to_string(device);
-  line += ',';
-  line += std::to_string(day);
-  line += ',';
-  line += std::to_string(visited_plmn.key());
-  line += ',';
-  line += hex_double(location.lat);
-  line += ',';
-  line += hex_double(location.lon);
-  line += ',';
-  line += hex_double(seconds);
-  line += '\n';
-  write_line(line);
-}
-
-void TraceFileSink::save_state(util::BinWriter& out) const {
-  // Make everything up to `offset_` durable before the snapshot that
-  // references it hits the disk — a crash after the snapshot rename must
-  // find at least `offset_` bytes in the trace file.
-  if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
-    throw std::runtime_error("TraceFileSink: flush-for-checkpoint failed for " +
-                             path_ + ": " + std::strerror(errno));
-  }
-  out.u64(offset_);
-}
-
-void TraceFileSink::restore_state(util::BinReader& in) {
-  const auto offset = in.u64();
-  std::fflush(file_);
-  if (::ftruncate(::fileno(file_), static_cast<off_t>(offset)) != 0) {
-    throw std::runtime_error("TraceFileSink: ftruncate failed for " + path_ +
-                             ": " + std::strerror(errno));
-  }
-  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-    throw std::runtime_error("TraceFileSink: fseek failed for " + path_ + ": " +
-                             std::strerror(errno));
-  }
-  offset_ = offset;
-}
 
 BinaryTraceFileSink::BinaryTraceFileSink(std::string path, bool resume)
     : path_(std::move(path)) {
@@ -218,10 +88,12 @@ void BinaryTraceFileSink::on_dwell(signaling::DeviceHash device, std::int32_t da
 }
 
 void BinaryTraceFileSink::save_state(util::BinWriter& out) const {
-  // Same durability contract as TraceFileSink, with one twist: partial
-  // column blocks live in the writer, not the stdio buffer, so they must be
-  // flushed into the file first or the checkpointed offset would exclude
-  // records already delivered to this sink.
+  // Make everything up to `offset_` durable before the snapshot that
+  // references it hits the disk — a crash after the snapshot rename must
+  // find at least `offset_` bytes in the trace file. Partial column blocks
+  // live in the writer, not the stdio buffer, so they must be flushed into
+  // the file first or the checkpointed offset would exclude records
+  // already delivered to this sink.
   writer_->flush_blocks();
   if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
     throw std::runtime_error(

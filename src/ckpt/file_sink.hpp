@@ -1,12 +1,12 @@
 #pragma once
 
-// TraceFileSink: a RecordSink that streams every record family to a text
-// file as one line per record (the same serialization the determinism tests
-// use: doubles rendered with %a so byte-equality means bit-equality). It is
-// Checkpointable — the snapshot stores the flushed byte offset, and restore
-// truncates the file back to that offset, discarding any lines written
-// after the checkpoint was taken. That truncate-on-restore is what makes an
-// interrupted run's output splice byte-identically onto the resumed run's.
+// BinaryTraceFileSink: the durable trace sink. A RecordSink that streams
+// every record family to a WTRTRC1 columnar trace file (io/bintrace.hpp),
+// and a Checkpointable — the snapshot stores the flushed byte offset, and
+// restore truncates the file back to that offset, discarding anything
+// written after the checkpoint was taken. That truncate-on-restore is what
+// makes an interrupted run's output splice byte-identically onto the
+// resumed run's.
 
 #include <cstdint>
 #include <cstdio>
@@ -20,66 +20,12 @@
 
 namespace wtr::ckpt {
 
-class TraceFileSink final : public sim::RecordSink, public Checkpointable {
- public:
-  /// Opens `path` for writing. `resume` opens the existing file for
-  /// in-place update (restore_state will truncate it to the snapshot
-  /// offset); otherwise the file is created/truncated fresh. Throws
-  /// std::runtime_error when the file cannot be opened.
-  explicit TraceFileSink(std::string path, bool resume = false);
-  ~TraceFileSink() override;
-
-  TraceFileSink(const TraceFileSink&) = delete;
-  TraceFileSink& operator=(const TraceFileSink&) = delete;
-
-  /// fflush + fsync — called by the engine before each snapshot write and
-  /// by the graceful-shutdown path so buffered records are never lost.
-  void flush_and_sync();
-
-  /// Borrow a flight recorder: flush_and_sync emits "sink_flush" spans on
-  /// `track` (must be the engine track — flushes run on the engine thread).
-  void set_trace(obs::FlightRecorder* trace, std::uint32_t track) noexcept {
-    trace_ = trace;
-    trace_track_ = track;
-  }
-
-  [[nodiscard]] std::uint64_t bytes_written() const noexcept { return offset_; }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
-  // --- RecordSink ----------------------------------------------------------
-  void on_signaling(const signaling::SignalingTransaction& txn,
-                    bool data_context) override;
-  void on_cdr(const records::Cdr& cdr) override;
-  void on_xdr(const records::Xdr& xdr) override;
-  void on_dwell(signaling::DeviceHash device, std::int32_t day,
-                cellnet::Plmn visited_plmn, const cellnet::GeoPoint& location,
-                double seconds) override;
-
-  // --- Checkpointable ------------------------------------------------------
-  /// Flushes, fsyncs, and records the durable byte offset.
-  void save_state(util::BinWriter& out) const override;
-  /// Truncates the file to the snapshot's byte offset and repositions the
-  /// write cursor there.
-  void restore_state(util::BinReader& in) override;
-
- private:
-  void write_line(const std::string& line);
-
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  std::uint64_t offset_ = 0;  // bytes written so far (== file size when flushed)
-  obs::FlightRecorder* trace_ = nullptr;  // borrowed; null = no spans
-  std::uint32_t trace_track_ = 0;
-};
-
-/// The binary sibling of TraceFileSink: streams every record family to a
-/// WTRTRC1 columnar trace file (io/bintrace.hpp). Checkpointable with the
-/// same truncate-on-restore contract — a snapshot first flushes the partial
-/// column blocks so the durable byte offset covers every record delivered
-/// before it, and restore truncates back to that block boundary (blocks are
-/// self-contained, so the truncated prefix is a valid unsealed trace).
-/// finish() seals the stream with the end marker; an unsealed file (crash
-/// before finish) is rejected loudly by BinaryTraceReader.
+/// A snapshot first flushes the partial column blocks so the durable byte
+/// offset covers every record delivered before it, and restore truncates
+/// back to that block boundary (blocks are self-contained, so the truncated
+/// prefix is a valid unsealed trace). finish() seals the stream with the
+/// end marker; an unsealed file (crash before finish) is rejected loudly by
+/// BinaryTraceReader.
 class BinaryTraceFileSink final : public sim::RecordSink, public Checkpointable {
  public:
   /// Opens `path` for writing and emits the format header. `resume` opens

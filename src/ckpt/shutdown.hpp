@@ -2,11 +2,17 @@
 
 // Cooperative graceful-shutdown flag for SIGINT/SIGTERM. The handler only
 // sets a volatile sig_atomic_t (the one async-signal-safe thing it may do);
-// the engine polls the flag at wake boundaries (threads=1) or checkpoint
-// barriers (threads=N), finishes the in-flight work, writes a final
-// checkpoint when one is configured, and returns with interrupted() set so
-// harnesses can drain their sinks and emit a *.partial manifest instead of
-// losing buffered records to a hard kill.
+// the engine polls it and, on a request, writes a final checkpoint when one
+// is configured and returns with interrupted() set, so harnesses can drain
+// their sinks and emit a *.partial manifest instead of losing buffered
+// records to a hard kill.
+//
+// The shutdown rule (sim::Engine::run): a request stops the run between two
+// wakes only when one shard steps agents in global pop order and no
+// congestion model is installed. Otherwise it stops at the next barrier — a
+// window end (cadence, congestion-bucket or stop-point boundary) where the
+// shards are quiesced. A window that reaches the horizon completes the run:
+// a request that arrives during it is not reported as an interruption.
 
 namespace wtr::ckpt {
 

@@ -27,10 +27,10 @@ constexpr std::size_t kFooterSize = 4 + 8;
   fail(path, what + ": " + std::strerror(errno));
 }
 
-std::string build_header(std::string_view payload, std::uint32_t version) {
+std::string build_header(std::string_view payload) {
   util::BinWriter header;
   header.raw(kHeaderMagic, sizeof kHeaderMagic);
-  header.u32(version);
+  header.u32(kSnapshotVersion);
   header.u64(payload.size());
   header.u32(util::crc32(payload));
   header.u32(util::crc32(header.bytes()));
@@ -41,10 +41,7 @@ std::string build_header(std::string_view payload, std::uint32_t version) {
 
 void write_snapshot_atomic(const std::string& path, std::string_view payload,
                            obs::FlightRecorder* trace,
-                           std::uint32_t trace_track, std::uint32_t version) {
-  if (version < kMinSnapshotVersion || version > kSnapshotVersion) {
-    fail(path, "cannot write unsupported format version " + std::to_string(version));
-  }
+                           std::uint32_t trace_track) {
   const std::string tmp = path + ".tmp";
   obs::TraceSpan write_span(trace, trace_track, obs::TraceCat::kCheckpoint,
                             "ckpt_write");
@@ -53,7 +50,7 @@ void write_snapshot_atomic(const std::string& path, std::string_view payload,
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) fail_errno(path, "cannot create " + tmp);
 
-  const std::string header = build_header(payload, version);
+  const std::string header = build_header(payload);
   util::BinWriter footer;
   footer.u32(util::crc32(payload));
   footer.raw(kFooterMagic, sizeof kFooterMagic);
@@ -108,7 +105,7 @@ void write_snapshot_atomic(const std::string& path, std::string_view payload,
   }
 }
 
-Snapshot read_snapshot_versioned(const std::string& path) {
+std::string read_snapshot(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) fail_errno(path, "cannot open");
   std::string bytes;
@@ -130,9 +127,8 @@ Snapshot read_snapshot_versioned(const std::string& path) {
     fail(path, "bad magic (not a wtr checkpoint snapshot)");
   }
   const std::uint32_t version = header.u32();
-  if (version < kMinSnapshotVersion || version > kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     fail(path, "format version " + std::to_string(version) + " unsupported (want " +
-                   std::to_string(kMinSnapshotVersion) + ".." +
                    std::to_string(kSnapshotVersion) + ")");
   }
   const std::uint64_t payload_size = header.u64();
@@ -160,11 +156,7 @@ Snapshot read_snapshot_versioned(const std::string& path) {
       fail(path, "bad footer magic (torn tail)");
     }
   }
-  return Snapshot{version, std::string(payload)};
-}
-
-std::string read_snapshot(const std::string& path) {
-  return read_snapshot_versioned(path).payload;
+  return std::string(payload);
 }
 
 }  // namespace wtr::ckpt

@@ -34,11 +34,9 @@ class FlightRecorder;
 namespace wtr::ckpt {
 
 // v3: the engine's agent section is hydration-flagged (dormant agents are
-// omitted — their state is reconstructed at registration). v2 (the legacy
-// every-agent layout) is still accepted on read, and writers can opt into
-// emitting it; v1 snapshots are rejected.
+// omitted — their state is reconstructed at registration). Snapshots are
+// process-local recovery files, so only the current version is read.
 inline constexpr std::uint32_t kSnapshotVersion = 3;
-inline constexpr std::uint32_t kMinSnapshotVersion = 2;
 
 /// Thrown on any snapshot integrity or format failure (torn file, bit flip,
 /// version or fingerprint mismatch). The message names the path and cause.
@@ -63,27 +61,13 @@ class Checkpointable {
 /// SnapshotError on any I/O failure (the previous snapshot, if any, is left
 /// intact). A non-null flight recorder gets "ckpt_write" and "ckpt_fsync"
 /// spans on `trace_track` (the caller's thread must own that track).
-/// `version` stamps the container header; it must be a supported version
-/// (the payload the caller serialized must match the layout it declares).
 void write_snapshot_atomic(const std::string& path, std::string_view payload,
                            obs::FlightRecorder* trace = nullptr,
-                           std::uint32_t trace_track = 0,
-                           std::uint32_t version = kSnapshotVersion);
+                           std::uint32_t trace_track = 0);
 
-/// A verified snapshot: the container format version it declared plus the
-/// opaque payload. Payload layout is version-dependent — the engine
-/// dispatches its parser on `version`.
-struct Snapshot {
-  std::uint32_t version = kSnapshotVersion;
-  std::string payload;
-};
-
-/// Read and verify a snapshot, returning version + payload. Accepts any
-/// supported version in [kMinSnapshotVersion, kSnapshotVersion]. Throws
-/// SnapshotError naming the path and the first integrity failure found.
-[[nodiscard]] Snapshot read_snapshot_versioned(const std::string& path);
-
-/// Read and verify a snapshot; returns just the payload.
+/// Read and verify a kSnapshotVersion snapshot; returns its payload. Throws
+/// SnapshotError naming the path and the first integrity failure found
+/// (including any other format version).
 [[nodiscard]] std::string read_snapshot(const std::string& path);
 
 }  // namespace wtr::ckpt

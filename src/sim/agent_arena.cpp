@@ -121,9 +121,4 @@ void AgentArena::restore_state(util::BinReader& in) {
   }
 }
 
-void AgentArena::restore_state_all(util::BinReader& in) {
-  assert(frozen_);
-  for (std::size_t i = 0; i < devices_.size(); ++i) agent(i).restore_state(in);
-}
-
 }  // namespace wtr::sim

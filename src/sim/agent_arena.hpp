@@ -115,9 +115,6 @@ class AgentArena {
   /// Restore a v3 arena section. Requires freeze() and a fresh (nothing
   /// hydrated) arena, i.e. called before the engine ever ran.
   void restore_state(util::BinReader& in);
-  /// Restore a legacy (container v2) agent section: every agent was saved,
-  /// so every agent hydrates. Same freshness requirement as restore_state.
-  void restore_state_all(util::BinReader& in);
 
  private:
   [[nodiscard]] DeviceAgent* slot(std::size_t index) noexcept {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -13,39 +11,44 @@
 #include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/record_buffer.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wtr::sim {
 
 namespace {
 
-/// Debug-wake cadence shared by both execution paths (stderr heartbeat).
-constexpr std::uint64_t kDebugWakeEvery = 2'000'000;
-
 /// Wake cadences for flight-recorder instants and heartbeat refresh checks
-/// in the single-threaded loop (power-of-two masks; the sharded path uses
-/// window barriers instead). 8192 wakes between trace instants keeps a
-/// 32k-slot ring covering hundreds of millions of wakes.
+/// in the global pop loop (power-of-two masks). 8192 wakes between trace
+/// instants keeps a 32k-slot ring covering hundreds of millions of wakes.
 constexpr std::uint64_t kTraceWakeMask = (1u << 13) - 1;
 constexpr std::uint64_t kBeatWakeMask = (1u << 10) - 1;
 
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
 }  // namespace
 
-/// Everything one shard's event loop owns: the record arena, its wake
-/// count, and — when metrics are on — a private registry fed by a private
-/// OutcomePolicy clone, so shard loops never touch shared counters.
+/// Everything one shard owns: its outcome policy and congestion ledger,
+/// and — with K > 1 shards — its event queue, its record arena and a
+/// private metrics registry, so shard windows never touch shared state.
 struct Engine::Shard {
-  Shard(const signaling::OutcomePolicyConfig& outcome_config,
-        const faults::FaultSchedule* faults, obs::MetricsRegistry* main_metrics,
-        const faults::CongestionModel* congestion)
-      : ledger(congestion != nullptr ? congestion->op_count() : 0),
-        outcomes(outcome_config, faults, main_metrics != nullptr ? &metrics : nullptr,
-                 congestion, congestion != nullptr ? &ledger : nullptr) {}
+  /// `private_metrics` points the policy's counters at `metrics` (merged at
+  /// checkpoints and at the end of the run) instead of the main registry.
+  Shard(const Config& config, bool private_metrics)
+      : ledger(config.congestion != nullptr ? config.congestion->op_count() : 0),
+        outcomes(config.outcomes, config.faults,
+                 private_metrics && config.metrics != nullptr ? &metrics : config.metrics,
+                 config.congestion, config.congestion != nullptr ? &ledger : nullptr) {}
 
+  EventQueue queue;
   RecordBuffer buffer;
   obs::MetricsRegistry metrics;
-  /// Shard-private attach-attempt counts for the open congestion bucket;
-  /// absorbed into the model at barriers by the merge thread.
+  /// Attach-attempt counts for the open congestion bucket; absorbed into
+  /// the model at barriers.
   faults::CongestionLedger ledger;
   signaling::OutcomePolicy outcomes;
   std::uint64_t wakes = 0;
@@ -54,22 +57,16 @@ struct Engine::Shard {
   /// is the sole writer of `track`; barriers quiesce it before any read.
   obs::FlightRecorder* trace = nullptr;
   std::uint32_t track = 0;
-  /// Wall seconds this shard spent inside its window loops (cumulative) —
-  /// the per-window deltas feed the merge-wait skew metric.
+  /// Wall seconds this shard spent inside its window loops: cumulative and
+  /// for the last window (the per-window spread feeds the skew metric).
   double busy_s = 0.0;
+  double window_busy_s = 0.0;
   /// Largest shard-queue depth seen at window entry.
   std::uint64_t queue_hwm = 0;
 };
 
 Engine::Engine(const topology::World& world, Config config)
-    : world_(world),
-      config_(config),
-      selector_(world),
-      congestion_ledger_(config.congestion != nullptr ? config.congestion->op_count()
-                                                      : 0),
-      outcomes_(config.outcomes, config.faults, config.metrics, config.congestion,
-                config.congestion != nullptr ? &congestion_ledger_ : nullptr),
-      rng_(config.seed) {
+    : world_(world), config_(config), selector_(world), rng_(config.seed) {
   // The recorder exists from construction so sinks registered before run()
   // can borrow it. One track per configured thread plus the engine track;
   // shard clamping just leaves trailing tracks empty (skipped at export).
@@ -147,14 +144,13 @@ void Engine::beat(const char* phase, stats::SimTime sim_now, bool force) {
   }
 }
 
-void Engine::write_checkpoint(stats::SimTime resume_time, const EventQueue& queue,
-                              const obs::MetricsRegistry* metrics_view) {
+void Engine::write_checkpoint(stats::SimTime resume_time,
+                              const std::vector<Shard>& shards) {
   if (config_.checkpoint_path.empty()) return;
-  using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
 
-  // write_checkpoint always runs on the engine/merge thread, so its spans
-  // land on the engine track.
+  // write_checkpoint always runs on the calling thread, so its spans land
+  // on the engine track.
   obs::TraceSpan serialize_span(trace_.get(), obs::FlightRecorder::kEngineTrack,
                                 obs::TraceCat::kCheckpoint, "ckpt_serialize");
   serialize_span.set_args("sim_time", resume_time);
@@ -168,7 +164,7 @@ void Engine::write_checkpoint(stats::SimTime resume_time, const EventQueue& queu
   // Pending events in exact global pop order: resume reschedules them in
   // this order into a fresh queue, reproducing the relative (time, seq)
   // ordering against everything scheduled after the snapshot point.
-  const auto events = queue.snapshot_events();
+  const auto events = queue_.snapshot_events();
   payload.u64(events.size());
   for (const auto& event : events) {
     payload.i64(event.time);
@@ -176,19 +172,18 @@ void Engine::write_checkpoint(stats::SimTime resume_time, const EventQueue& queu
   }
 
   payload.u64(arena_.size());
-  if (config_.snapshot_format >= 3) {
-    // v3: hydration flag per agent, state for hydrated agents only.
-    arena_.save_state(payload);
-  } else {
-    // Legacy v2 layout (no flags, every agent's state): hydrate the full
-    // arena first. Hydration is behavior-neutral — a hydrated dormant
-    // agent produces exactly the records it would have produced waking
-    // from the dormant tier — so opting into v2 costs memory, not output.
-    for (std::size_t i = 0; i < arena_.size(); ++i) arena_.agent(i).save_state(payload);
-  }
+  arena_.save_state(payload);
 
-  payload.b(metrics_view != nullptr);
-  if (metrics_view != nullptr) metrics_view->save_state(payload);
+  // Persist the registry a single-shard run would hold at this point.
+  const obs::MetricsRegistry* metrics = config_.metrics;
+  obs::MetricsRegistry merged;
+  if (metrics != nullptr && shards.size() > 1) {
+    merged = *metrics;
+    for (const auto& shard : shards) merged.merge_from(shard.metrics);
+    metrics = &merged;
+  }
+  payload.b(metrics != nullptr);
+  if (metrics != nullptr) metrics->save_state(payload);
 
   payload.b(config_.probe != nullptr);
   if (config_.probe != nullptr) config_.probe->save_state(payload);
@@ -206,12 +201,10 @@ void Engine::write_checkpoint(stats::SimTime resume_time, const EventQueue& queu
 
   serialize_span.close();
   ckpt::write_snapshot_atomic(config_.checkpoint_path, payload.bytes(),
-                              trace_.get(), obs::FlightRecorder::kEngineTrack,
-                              config_.snapshot_format);
+                              trace_.get(), obs::FlightRecorder::kEngineTrack);
   ++checkpoints_written_;
   last_checkpoint_time_ = resume_time;
-  checkpoint_wall_s_ +=
-      std::chrono::duration<double>(Clock::now() - start).count();
+  checkpoint_wall_s_ += seconds_since(start);
   beat("checkpoint", resume_time);
 }
 
@@ -219,8 +212,8 @@ void Engine::resume_from(const std::string& path) {
   if (ran_) {
     throw std::logic_error("sim::Engine::resume_from: engine already ran");
   }
-  const ckpt::Snapshot snapshot = ckpt::read_snapshot_versioned(path);
-  util::BinReader in(snapshot.payload);
+  const std::string snapshot = ckpt::read_snapshot(path);
+  util::BinReader in(snapshot);
 
   const auto fingerprint = in.u64();
   if (fingerprint != fleet_fingerprint()) {
@@ -233,9 +226,16 @@ void Engine::resume_from(const std::string& path) {
   wakes_ = in.u64();
   last_time_ = in.i64();
 
-  resume_events_.clear();
+  // The snapshot's pending events, in global pop order, replace the
+  // add_fleet initial schedule.
+  EventQueue queue;
   const auto n_events = in.u64();
-  resume_events_.reserve(n_events);
+  if (n_events > arena_.size()) {
+    throw ckpt::SnapshotError(path + ": snapshot holds " + std::to_string(n_events) +
+                              " pending events for " + std::to_string(arena_.size()) +
+                              " agents (at most one each)");
+  }
+  queue.reserve(n_events);
   for (std::uint64_t i = 0; i < n_events; ++i) {
     const auto time = in.i64();
     const auto agent = in.u32();
@@ -244,7 +244,7 @@ void Engine::resume_from(const std::string& path) {
                                 std::to_string(agent) + " beyond fleet size " +
                                 std::to_string(arena_.size()));
     }
-    resume_events_.emplace_back(time, agent);
+    queue.schedule(time, agent);
   }
 
   const auto n_agents = in.u64();
@@ -254,11 +254,7 @@ void Engine::resume_from(const std::string& path) {
         " agents but the rebuilt engine has " + std::to_string(arena_.size()));
   }
   arena_.freeze();
-  if (snapshot.version >= 3) {
-    arena_.restore_state(in);  // hydration-flagged arena section
-  } else {
-    arena_.restore_state_all(in);  // legacy: every agent saved
-  }
+  arena_.restore_state(in);
 
   const bool has_metrics = in.b();
   if (has_metrics != (config_.metrics != nullptr)) {
@@ -306,13 +302,7 @@ void Engine::resume_from(const std::string& path) {
   }
   in.expect_exhausted("engine snapshot " + path);
 
-  // Replace the add_fleet initial schedule with the snapshot's pending
-  // events (single-threaded path runs straight off queue_; the sharded path
-  // re-partitions resume_events_ itself).
-  queue_ = EventQueue{};
-  queue_.reserve(resume_events_.size());
-  for (const auto& [time, agent] : resume_events_) queue_.schedule(time, agent);
-
+  queue_ = std::move(queue);
   resumed_ = true;
   resumed_from_ = path;
 }
@@ -324,26 +314,269 @@ void Engine::run(std::vector<RecordSink*> sinks) {
         "second run (the event queue is consumed)");
   }
   ran_ = true;
-  if (config_.snapshot_format != 2 && config_.snapshot_format != ckpt::kSnapshotVersion) {
-    throw std::logic_error("sim::Engine::run: unsupported snapshot_format " +
-                           std::to_string(config_.snapshot_format));
-  }
   arena_.freeze();
   beat(resumed_ ? "resume" : "init", resumed_ ? resume_time_ : 0,
        /*force=*/true);
 
+  MultiSink fanout;
+  for (auto* sink : sinks) fanout.add(sink);
+  obs::EngineProbe* probe = config_.probe;
+  if (probe != nullptr) {
+    fanout.add(probe);
+    if (!resumed_) {
+      probe->begin_run(config_.faults, queue_.size());
+    } else {
+      // The probe trajectory was restored from the snapshot; only the
+      // borrowed schedule pointer needs re-binding in this process.
+      probe->rebind_faults(config_.faults);
+    }
+  }
+
   const std::size_t shard_count = std::min<std::size_t>(
       std::max(1u, config_.threads), std::max<std::size_t>(1, arena_.size()));
-  if (shard_count <= 1) {
-    run_single(sinks);
-  } else {
-    run_sharded(sinks, shard_count);
+  const bool sharded = shard_count > 1;
+  std::vector<Shard> shards;
+  shards.reserve(shard_count);  // no reallocation: policies hold member addresses
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    shards.emplace_back(config_, /*private_metrics=*/sharded);
+    shards.back().trace = trace_.get();
+    shards.back().track = obs::FlightRecorder::shard_track(s);
+  }
+  if (sharded) {
+    // Each shard queue takes its agents' pending wakes in global pop order,
+    // so two same-time wakes keep their global relative order inside a
+    // shard — what lets the replay walk each buffer with one cursor.
+    for (auto& shard : shards) shard.queue.reserve(queue_.size() / shard_count + 1);
+    for (const Event& event : queue_.snapshot_events()) {
+      shards[event.agent % shard_count].queue.schedule(event.time, event.agent);
+    }
+  }
+  util::ThreadPool pool(sharded ? shard_count : 0);
+  std::vector<RecordBuffer::Cursor> cursors(shard_count);
+
+  AgentContext ctx;
+  ctx.world = &world_;
+  ctx.selector = &selector_;
+  ctx.outcomes = &shards.front().outcomes;
+  ctx.sink = &fanout;
+
+  const stats::SimTime horizon_end = stats::day_start(config_.horizon_days);
+  const stats::SimTime cadence_s =
+      config_.checkpoint_every_sim_hours > 0
+          ? config_.checkpoint_every_sim_hours * stats::kSecondsPerHour
+          : 0;
+  stats::SimTime stop_time = -1;
+  if (config_.stop_after_sim_hours > 0) {
+    const stats::SimTime t = config_.stop_after_sim_hours * stats::kSecondsPerHour;
+    if (t < horizon_end) stop_time = t;
+  }
+  faults::CongestionModel* congestion = config_.congestion;
+  const stats::SimTime bucket_s =
+      congestion != nullptr ? congestion->config().bucket_s : 0;
+  // The shutdown rule (ckpt/shutdown.hpp): only a single shard stepping
+  // agents in global pop order, with no congestion bucket open mid-window,
+  // can stop between two wakes; everything else stops at the next barrier.
+  const bool stop_between_wakes = !sharded && congestion == nullptr;
+
+  obs::FlightRecorder* rec = trace_.get();
+  constexpr std::uint32_t kTrack = obs::FlightRecorder::kEngineTrack;
+  const bool beating = heartbeat_ != nullptr;
+
+  stats::SimTime window_start = resumed_ ? resume_time_ : 0;
+  while (true) {
+    // --- Window planner ----------------------------------------------------
+    stats::SimTime stop = horizon_end;
+    if (cadence_s > 0) {
+      stop = std::min(stop, (window_start / cadence_s + 1) * cadence_s);
+    }
+    if (bucket_s > 0) {
+      stop = std::min(stop, (window_start / bucket_s + 1) * bucket_s);
+    }
+    if (stop_time >= 0) stop = std::min(stop, stop_time);
+
+    if (sharded) run_shard_windows(shards, pool, stop);
+
+    // --- Global pop loop ---------------------------------------------------
+    // With K > 1 shards each popped wake replays its shard's buffered
+    // records and re-schedules its recorded next wake, which reproduces the
+    // single-shard (time, seq) order without re-running any agent.
+    const auto loop_start = sharded ? Clock::now() : Clock::time_point{};
+    obs::TraceSpan loop_span(rec, kTrack,
+                             sharded ? obs::TraceCat::kMerge : obs::TraceCat::kEngine,
+                             sharded ? "merge" : "window");
+    const std::uint64_t window_wakes_before = wakes_;
+    if (rec != nullptr && queue_.size() > queue_depth_hwm_) {
+      queue_depth_hwm_ = queue_.size();
+    }
+    bool shutdown_hit = false;
+    while (!queue_.empty() && *queue_.next_time() <= stop) {
+      if (stop_between_wakes && ckpt::shutdown_requested()) {
+        shutdown_hit = true;
+        break;
+      }
+      const Event event = queue_.pop();
+      ++wakes_;
+      last_time_ = event.time;
+      if (probe != nullptr && probe->due(event.time)) {
+        // +1: the popped event is still in flight at the sample instant.
+        probe->on_tick(event.time, queue_.size() + 1, wakes_);
+      }
+      if (rec != nullptr && (wakes_ & kTraceWakeMask) == 0) {
+        rec->instant(kTrack, obs::TraceCat::kEngine, "wake_batch", "wakes",
+                     static_cast<std::int64_t>(wakes_), "queue",
+                     static_cast<std::int64_t>(queue_.size()));
+        if (queue_.size() > queue_depth_hwm_) queue_depth_hwm_ = queue_.size();
+      }
+      if (beating && (wakes_ & kBeatWakeMask) == 0) {
+        beat("run", event.time);
+      }
+      if (sharded) {
+        const std::size_t s = event.agent % shard_count;
+        assert(shards[s].buffer.peek_agent(cursors[s]) == event.agent);
+        const stats::SimTime next = shards[s].buffer.replay_wake(cursors[s], fanout);
+        if (next != RecordBuffer::kNoNextWake) queue_.schedule(next, event.agent);
+      } else if (const auto next = arena_.agent(event.agent).on_wake(event.time, ctx)) {
+        queue_.schedule(*next, event.agent);
+      }
+    }
+    loop_span.set_args("wakes", static_cast<std::int64_t>(wakes_ - window_wakes_before),
+                       "sim_stop", stop);
+    loop_span.close();
+    if (sharded) {
+      merge_wall_s_ += seconds_since(loop_start);
+      for (std::size_t s = 0; s < shard_count; ++s) {
+        // Every wake a shard processed this window was replayed exactly once.
+        assert(cursors[s].wake == shards[s].buffer.wake_count());
+        shards[s].buffer.clear();
+        cursors[s] = RecordBuffer::Cursor{};
+      }
+    }
+
+    // --- Barrier -----------------------------------------------------------
+    // Fold the shard ledgers into the model and, on a bucket boundary, roll
+    // the reject probabilities for the next bucket. Shard windows only ever
+    // see an immutable model, and ledger addition is commutative, so the
+    // fixed shard order cannot differ from the single-shard total.
+    if (congestion != nullptr) {
+      obs::TraceSpan absorb_span(rec, kTrack, obs::TraceCat::kCongestion,
+                                 "congestion_absorb");
+      for (auto& shard : shards) congestion->absorb(shard.ledger);
+      absorb_span.set_args(
+          "pending", static_cast<std::int64_t>(congestion->pending_attempts()),
+          "sim_stop", stop);
+      if (stop % bucket_s == 0) congestion->roll_to(stop);
+    }
+    // A window that reaches the horizon completes the run, whatever was
+    // requested meanwhile.
+    if (shutdown_hit || stop == stop_time ||
+        (stop < horizon_end && ckpt::shutdown_requested())) {
+      interrupted_ = true;
+      // A between-wakes stop resumes at the last processed event, which
+      // replans the same next boundary this process was heading for.
+      write_checkpoint(shutdown_hit ? last_time_ : stop, shards);
+      break;
+    }
+    if (stop >= horizon_end) break;
+    // Congestion bucket boundaries subdivide cadence windows; only cadence
+    // multiples get a snapshot.
+    if (cadence_s > 0 && stop % cadence_s == 0) write_checkpoint(stop, shards);
+    window_start = stop;
+  }
+
+  // --- End of run ------------------------------------------------------------
+  if (!interrupted_) {
+    // Drop the first beyond-horizon event before the final probe sample,
+    // whose queue depth has always excluded it.
+    if (!queue_.empty()) queue_.pop();
+    if (probe != nullptr) probe->end_run(last_time_, queue_.size(), wakes_);
+  }
+  wheel_rebases_ = queue_.rebases();
+  for (const auto& shard : shards) {
+    wheel_rebases_ += shard.queue.rebases();
+    record_buffer_peak_bytes_ += shard.buffer.resident_bytes();
+  }
+  if (sharded) {
+    shard_wakes_.resize(shard_count);
+    for (std::size_t s = 0; s < shard_count; ++s) {
+      shard_wakes_[s] = shards[s].wakes;
+      if (config_.metrics != nullptr) config_.metrics->merge_from(shards[s].metrics);
+    }
+    if (rec != nullptr) {
+      shard_busy_s_.resize(shard_count);
+      for (std::size_t s = 0; s < shard_count; ++s) {
+        shard_busy_s_[s] = shards[s].busy_s;
+        queue_depth_hwm_ = std::max(queue_depth_hwm_, shards[s].queue_hwm);
+      }
+    }
   }
   // An interrupted run withholds the run-summary metrics: the resumed
   // process emits them once at its own completion, so the resumed dump is
   // byte-identical to an uninterrupted run's (engine.runs stays 1).
   if (!interrupted_) finish_run_metrics();
   finish_telemetry();
+}
+
+void Engine::run_shard_windows(std::vector<Shard>& shards, util::ThreadPool& pool,
+                               stats::SimTime stop) {
+  obs::FlightRecorder* rec = trace_.get();
+  obs::TraceSpan fanout_span(rec, obs::FlightRecorder::kEngineTrack,
+                             obs::TraceCat::kMerge, "shard_fanout");
+  const auto start = rec != nullptr ? Clock::now() : Clock::time_point{};
+  for (auto& shard : shards) {
+    pool.submit([this, &shard, stop] { run_shard_window(shard, stop); });
+  }
+  pool.wait();
+  if (rec != nullptr) {
+    // The pool barrier just quiesced the workers, so their busy counters
+    // are safe to read: the skew is how long the fastest shard sat idle
+    // waiting for the slowest this window.
+    const auto [lo, hi] = std::minmax_element(
+        shards.begin(), shards.end(), [](const Shard& a, const Shard& b) {
+          return a.window_busy_s < b.window_busy_s;
+        });
+    merge_wait_skew_s_ += hi->window_busy_s - lo->window_busy_s;
+    window_wall_s_ += seconds_since(start);
+  }
+  fanout_span.set_args("sim_stop", stop);
+}
+
+void Engine::run_shard_window(Shard& shard, stats::SimTime stop) {
+  AgentContext ctx;
+  ctx.world = &world_;
+  ctx.selector = &selector_;
+  ctx.outcomes = &shard.outcomes;
+  ctx.sink = &shard.buffer;
+
+  // Shard-thread-side telemetry: this thread is the sole writer of
+  // shard.track and of the shard's busy/hwm fields; the pool barrier
+  // publishes them to the calling thread.
+  const std::int64_t t0 = shard.trace != nullptr ? shard.trace->now_ns() : 0;
+  const std::uint64_t wakes_before = shard.wakes;
+  EventQueue& queue = shard.queue;
+  if (shard.trace != nullptr && queue.size() > shard.queue_hwm) {
+    shard.queue_hwm = queue.size();
+  }
+
+  while (!queue.empty() && *queue.next_time() <= stop) {
+    const Event event = queue.pop();
+    ++shard.wakes;
+    // Shards partition agents by index, so hydration targets disjoint
+    // arena slots — no synchronization needed.
+    auto& agent = arena_.agent(event.agent);
+    const auto next = agent.on_wake(event.time, ctx);
+    shard.buffer.end_wake(event.agent, next ? *next : RecordBuffer::kNoNextWake);
+    if (next) queue.schedule(*next, event.agent);
+  }
+
+  if (shard.trace != nullptr) {
+    const std::int64_t t1 = shard.trace->now_ns();
+    shard.trace->complete(shard.track, obs::TraceCat::kShard, "shard_window",
+                          t0, t1 - t0, "wakes",
+                          static_cast<std::int64_t>(shard.wakes - wakes_before),
+                          "sim_stop", stop);
+    shard.window_busy_s = static_cast<double>(t1 - t0) * 1e-9;
+    shard.busy_s += shard.window_busy_s;
+  }
 }
 
 void Engine::finish_telemetry() {
@@ -376,430 +609,6 @@ void Engine::finish_telemetry() {
   }
   if (trace_ != nullptr) trace_->write(config_.trace_path);
   beat(interrupted_ ? "interrupted" : "done", last_time_, /*force=*/true);
-}
-
-void Engine::run_single(const std::vector<RecordSink*>& sinks) {
-  MultiSink fanout;
-  for (auto* sink : sinks) fanout.add(sink);
-  obs::EngineProbe* probe = config_.probe;
-  if (probe != nullptr) {
-    fanout.add(probe);
-    if (!resumed_) {
-      probe->begin_run(config_.faults, queue_.size());
-    } else {
-      // The probe trajectory was restored from the snapshot; only the
-      // borrowed schedule pointer needs re-binding in this process.
-      probe->rebind_faults(config_.faults);
-    }
-  }
-
-  AgentContext ctx;
-  ctx.world = &world_;
-  ctx.selector = &selector_;
-  ctx.outcomes = &outcomes_;
-  ctx.sink = &fanout;
-
-  // One lookup before the loop — the env cannot change mid-run, and getenv
-  // walks environ on every call on most libcs.
-  const bool debug_wakes = ::getenv("WTR_DEBUG_WAKES") != nullptr;
-
-  const stats::SimTime horizon_end = stats::day_start(config_.horizon_days);
-  const stats::SimTime cadence_s =
-      config_.checkpoint_every_sim_hours > 0
-          ? config_.checkpoint_every_sim_hours * stats::kSecondsPerHour
-          : 0;
-  stats::SimTime stop_time = -1;
-  if (config_.stop_after_sim_hours > 0) {
-    const stats::SimTime t = config_.stop_after_sim_hours * stats::kSecondsPerHour;
-    if (t < horizon_end) stop_time = t;
-  }
-  faults::CongestionModel* congestion = config_.congestion;
-  const stats::SimTime bucket_s =
-      congestion != nullptr ? congestion->config().bucket_s : 0;
-
-  obs::FlightRecorder* rec = trace_.get();
-  constexpr std::uint32_t kTrack = obs::FlightRecorder::kEngineTrack;
-  const bool beating = heartbeat_ != nullptr;
-
-  // The run is a sequence of checkpoint windows; without a cadence, a stop
-  // point or a shutdown request the single window covers the whole horizon
-  // and the loop below is step-for-step the legacy event loop.
-  stats::SimTime window_start = resumed_ ? resume_time_ : 0;
-  bool shutdown_hit = false;
-  while (true) {
-    stats::SimTime stop = horizon_end;
-    if (cadence_s > 0) {
-      stop = std::min(stop, (window_start / cadence_s + 1) * cadence_s);
-    }
-    if (bucket_s > 0) {
-      stop = std::min(stop, (window_start / bucket_s + 1) * bucket_s);
-    }
-    if (stop_time >= 0) stop = std::min(stop, stop_time);
-
-    obs::TraceSpan window_span(rec, kTrack, obs::TraceCat::kEngine, "window");
-    const std::uint64_t window_wakes_before = wakes_;
-    if (rec != nullptr && queue_.size() > queue_depth_hwm_) {
-      queue_depth_hwm_ = queue_.size();
-    }
-
-    while (!queue_.empty() && *queue_.next_time() <= stop) {
-      // With a congestion model installed, shutdown is honoured at window
-      // boundaries only (a window is at most one bucket of sim time) —
-      // snapshots then always land on absorbed-and-rolled bucket state,
-      // mirroring the sharded path's barrier-only rule.
-      if (congestion == nullptr && ckpt::shutdown_requested()) {
-        shutdown_hit = true;
-        break;
-      }
-      const Event event = queue_.pop();
-      ++wakes_;
-      last_time_ = event.time;
-      if (probe != nullptr && probe->due(event.time)) {
-        // +1: the popped event is still in flight at the sample instant.
-        probe->on_tick(event.time, queue_.size() + 1, wakes_);
-      }
-      if (debug_wakes && wakes_ % kDebugWakeEvery == 0) {
-        std::fprintf(stderr, "[engine] wakes=%llu t=%lld agent=%u queue=%zu\n",
-                     (unsigned long long)wakes_, (long long)event.time, event.agent,
-                     queue_.size());
-      }
-      if (rec != nullptr && (wakes_ & kTraceWakeMask) == 0) {
-        rec->instant(kTrack, obs::TraceCat::kEngine, "wake_batch", "wakes",
-                     static_cast<std::int64_t>(wakes_), "queue",
-                     static_cast<std::int64_t>(queue_.size()));
-        if (queue_.size() > queue_depth_hwm_) queue_depth_hwm_ = queue_.size();
-      }
-      if (beating && (wakes_ & kBeatWakeMask) == 0) {
-        beat("run", event.time);
-      }
-      auto& agent = arena_.agent(event.agent);
-      if (const auto next = agent.on_wake(event.time, ctx)) {
-        queue_.schedule(*next, event.agent);
-      }
-    }
-    window_span.set_args("wakes", static_cast<std::int64_t>(wakes_ - window_wakes_before),
-                         "sim_stop", stop);
-    window_span.close();
-
-    if (congestion != nullptr) {
-      obs::TraceSpan absorb_span(rec, kTrack, obs::TraceCat::kCongestion,
-                                 "congestion_absorb");
-      congestion->absorb(congestion_ledger_);
-      absorb_span.set_args(
-          "pending", static_cast<std::int64_t>(congestion->pending_attempts()),
-          "sim_stop", stop);
-      if (stop % bucket_s == 0) congestion->roll_to(stop);
-      if (ckpt::shutdown_requested()) shutdown_hit = true;
-    }
-
-    if (shutdown_hit || (stop_time >= 0 && stop == stop_time)) {
-      interrupted_ = true;
-      // A shutdown can land mid-window (congestion off only): the snapshot
-      // then resumes at the last processed event, which recomputes the same
-      // next cadence boundary the interrupted process was heading for.
-      const bool mid_window = shutdown_hit && congestion == nullptr;
-      write_checkpoint(mid_window ? last_time_ : stop, queue_, config_.metrics);
-      return;
-    }
-    window_start = stop;
-    if (stop >= horizon_end) break;
-    // Congestion bucket boundaries subdivide cadence windows; only cadence
-    // multiples get a snapshot (exactly the pre-congestion stop set).
-    if (cadence_s > 0 && stop % cadence_s == 0) {
-      write_checkpoint(stop, queue_, config_.metrics);
-    }
-  }
-
-  // The legacy loop popped (and discarded) the first beyond-horizon event
-  // before exiting; replicate so the final probe sample sees the same
-  // queue depth byte-for-byte.
-  if (!queue_.empty()) queue_.pop();
-  if (probe != nullptr) probe->end_run(last_time_, queue_.size(), wakes_);
-  wheel_rebases_ = queue_.rebases();
-}
-
-void Engine::run_shard_window(Shard& shard, EventQueue& queue,
-                              stats::SimTime stop) {
-  AgentContext ctx;
-  ctx.world = &world_;
-  ctx.selector = &selector_;
-  ctx.outcomes = &shard.outcomes;
-  ctx.sink = &shard.buffer;
-
-  // Shard-thread-side telemetry: this thread is the sole writer of
-  // shard.track and of the shard's busy/hwm fields; the pool barrier
-  // publishes them to the merge thread.
-  const std::int64_t t0 = shard.trace != nullptr ? shard.trace->now_ns() : 0;
-  const std::uint64_t wakes_before = shard.wakes;
-  if (shard.trace != nullptr && queue.size() > shard.queue_hwm) {
-    shard.queue_hwm = queue.size();
-  }
-
-  while (!queue.empty() && *queue.next_time() <= stop) {
-    const Event event = queue.pop();
-    ++shard.wakes;
-    // Shards partition agents by index, so hydration targets disjoint
-    // arena slots — no synchronization needed.
-    auto& agent = arena_.agent(event.agent);
-    const auto next = agent.on_wake(event.time, ctx);
-    shard.buffer.end_wake(event.agent, next ? *next : RecordBuffer::kNoNextWake);
-    if (next) queue.schedule(*next, event.agent);
-  }
-
-  if (shard.trace != nullptr) {
-    const std::int64_t t1 = shard.trace->now_ns();
-    shard.trace->complete(shard.track, obs::TraceCat::kShard, "shard_window",
-                          t0, t1 - t0, "wakes",
-                          static_cast<std::int64_t>(shard.wakes - wakes_before),
-                          "sim_stop", stop);
-    shard.busy_s += static_cast<double>(t1 - t0) * 1e-9;
-  }
-}
-
-void Engine::run_sharded(const std::vector<RecordSink*>& sinks,
-                         std::size_t shard_count) {
-  using Clock = std::chrono::steady_clock;
-
-  MultiSink fanout;
-  for (auto* sink : sinks) fanout.add(sink);
-  obs::EngineProbe* probe = config_.probe;
-  if (probe != nullptr) {
-    fanout.add(probe);
-    if (!resumed_) {
-      // queue_ still holds exactly the initial events (one per agent), so
-      // the reported initial depth matches the single-threaded path.
-      probe->begin_run(config_.faults, queue_.size());
-    } else {
-      probe->rebind_faults(config_.faults);
-    }
-  }
-
-  std::vector<Shard> shards;
-  shards.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    shards.emplace_back(config_.outcomes, config_.faults, config_.metrics,
-                        config_.congestion);
-    if (trace_ != nullptr) {
-      shards.back().trace = trace_.get();
-      shards.back().track = obs::FlightRecorder::shard_track(s);
-    }
-  }
-  obs::FlightRecorder* rec = trace_.get();
-  constexpr std::uint32_t kTrack = obs::FlightRecorder::kEngineTrack;
-  std::vector<double> busy_before(shard_count, 0.0);
-
-  // Shard queues persist across checkpoint windows: pending events carry
-  // over; only the record arenas are drained per window. Initial schedule
-  // in ascending agent index — the merge replay relies on this matching
-  // the global add_fleet order restricted to each shard. On resume the
-  // snapshot's pending events (already in global pop order) re-partition
-  // the same way.
-  std::vector<EventQueue> shard_queues(shard_count);
-  for (auto& queue : shard_queues) queue.reserve(arena_.size() / shard_count + 1);
-  EventQueue merged;
-  merged.reserve(arena_.size());
-  if (!resumed_) {
-    for (std::size_t i = 0; i < arena_.size(); ++i) {
-      shard_queues[i % shard_count].schedule(arena_.first_wake(i),
-                                             static_cast<AgentIndex>(i));
-      merged.schedule(arena_.first_wake(i), static_cast<AgentIndex>(i));
-    }
-  } else {
-    for (const auto& [time, agent] : resume_events_) {
-      shard_queues[agent % shard_count].schedule(time, agent);
-      merged.schedule(time, agent);
-    }
-  }
-
-  const bool debug_wakes = ::getenv("WTR_DEBUG_WAKES") != nullptr;
-  const stats::SimTime horizon_end = stats::day_start(config_.horizon_days);
-  const stats::SimTime cadence_s =
-      config_.checkpoint_every_sim_hours > 0
-          ? config_.checkpoint_every_sim_hours * stats::kSecondsPerHour
-          : 0;
-  stats::SimTime stop_time = -1;
-  if (config_.stop_after_sim_hours > 0) {
-    const stats::SimTime t = config_.stop_after_sim_hours * stats::kSecondsPerHour;
-    if (t < horizon_end) stop_time = t;
-  }
-  faults::CongestionModel* congestion = config_.congestion;
-  const stats::SimTime bucket_s =
-      congestion != nullptr ? congestion->config().bucket_s : 0;
-
-  std::vector<RecordBuffer::Cursor> cursors(shard_count);
-  util::ThreadPool pool(shard_count);
-  double merge_total_s = 0.0;
-  stats::SimTime window_start = resumed_ ? resume_time_ : 0;
-  stats::SimTime stop = 0;
-  bool reached_horizon = false;
-  while (true) {
-    stop = horizon_end;
-    if (cadence_s > 0) {
-      stop = std::min(stop, (window_start / cadence_s + 1) * cadence_s);
-    }
-    if (bucket_s > 0) {
-      stop = std::min(stop, (window_start / bucket_s + 1) * bucket_s);
-    }
-    if (stop_time >= 0) stop = std::min(stop, stop_time);
-
-    obs::TraceSpan fanout_span(rec, kTrack, obs::TraceCat::kMerge,
-                               "shard_fanout");
-    const auto fanout_start =
-        rec != nullptr ? Clock::now() : Clock::time_point{};
-    if (rec != nullptr) {
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        busy_before[s] = shards[s].busy_s;
-      }
-    }
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      Shard* shard = &shards[s];
-      EventQueue* queue = &shard_queues[s];
-      pool.submit([this, shard, queue, stop] {
-        run_shard_window(*shard, *queue, stop);
-      });
-    }
-    pool.wait();
-    if (rec != nullptr) {
-      // The barrier just quiesced the workers, so their busy counters are
-      // safe to read: the skew is how long the fastest shard sat idle
-      // waiting for the slowest this window.
-      double lo = shards[0].busy_s - busy_before[0];
-      double hi = lo;
-      for (std::size_t s = 1; s < shard_count; ++s) {
-        const double d = shards[s].busy_s - busy_before[s];
-        lo = std::min(lo, d);
-        hi = std::max(hi, d);
-      }
-      merge_wait_skew_s_ += hi - lo;
-      window_wall_s_ +=
-          std::chrono::duration<double>(Clock::now() - fanout_start).count();
-    }
-    fanout_span.set_args("sim_stop", stop);
-    fanout_span.close();
-
-    // --- Deterministic k-way merge of this window ---------------------------
-    // Rebuild the exact single-threaded pop order by replaying the
-    // schedule: each replayed wake re-schedules its recorded next wake at
-    // pop time, reproducing the global seq assignment without re-running
-    // any agent.
-    const auto merge_start = Clock::now();
-    obs::TraceSpan merge_span(rec, kTrack, obs::TraceCat::kMerge, "merge");
-    const std::uint64_t merge_wakes_before = wakes_;
-    while (!merged.empty() && *merged.next_time() <= stop) {
-      const Event event = merged.pop();
-      ++wakes_;
-      last_time_ = event.time;
-      if (probe != nullptr && probe->due(event.time)) {
-        probe->on_tick(event.time, merged.size() + 1, wakes_);
-      }
-      if (debug_wakes && wakes_ % kDebugWakeEvery == 0) {
-        std::fprintf(stderr, "[engine] wakes=%llu t=%lld agent=%u queue=%zu\n",
-                     (unsigned long long)wakes_, (long long)event.time, event.agent,
-                     merged.size());
-      }
-      const std::size_t s = event.agent % shard_count;
-      assert(shards[s].buffer.peek_agent(cursors[s]) == event.agent);
-      const stats::SimTime next = shards[s].buffer.replay_wake(cursors[s], fanout);
-      if (next != RecordBuffer::kNoNextWake) merged.schedule(next, event.agent);
-    }
-    merge_span.set_args("wakes",
-                        static_cast<std::int64_t>(wakes_ - merge_wakes_before),
-                        "sim_stop", stop);
-    merge_span.close();
-    if (rec != nullptr && merged.size() > queue_depth_hwm_) {
-      queue_depth_hwm_ = merged.size();
-    }
-    merge_total_s +=
-        std::chrono::duration<double>(Clock::now() - merge_start).count();
-    beat("run", stop);
-
-#ifndef NDEBUG
-    // The window boundary is a barrier: every wake a shard processed this
-    // window must have been replayed exactly once.
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      assert(cursors[s].wake == shards[s].buffer.wake_count());
-    }
-#endif
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      shards[s].buffer.clear();
-      cursors[s] = RecordBuffer::Cursor{};
-    }
-
-    // Fold the shards' private attempt ledgers into the model and, on a
-    // bucket boundary, roll the reject probabilities for the next bucket.
-    // This runs on the merge thread between pool.wait() and the next
-    // submit, so workers only ever see an immutable model — and ledger
-    // addition is commutative, so the fixed shard order cannot differ from
-    // the single-threaded total.
-    if (congestion != nullptr) {
-      obs::TraceSpan absorb_span(rec, kTrack, obs::TraceCat::kCongestion,
-                                 "congestion_merge");
-      for (auto& shard : shards) congestion->absorb(shard.ledger);
-      absorb_span.set_args(
-          "pending", static_cast<std::int64_t>(congestion->pending_attempts()),
-          "sim_stop", stop);
-      if (stop % bucket_s == 0) congestion->roll_to(stop);
-    }
-
-    // Shutdown requests are honoured at barriers only — mid-window the
-    // shard agents have advanced past the merge point, so barrier state is
-    // the only consistent snapshot state in sharded mode.
-    if ((stop_time >= 0 && stop == stop_time) || ckpt::shutdown_requested()) {
-      interrupted_ = true;
-      break;
-    }
-    window_start = stop;
-    if (stop >= horizon_end) {
-      reached_horizon = true;
-      break;
-    }
-    // Congestion bucket boundaries subdivide cadence windows; only cadence
-    // multiples get a snapshot (exactly the pre-congestion stop set).
-    if (cadence_s > 0 && stop % cadence_s == 0) {
-      if (config_.metrics != nullptr) {
-        // Snapshot the registry the single-threaded path would have at this
-        // barrier: main contents plus every shard's delta so far.
-        obs::MetricsRegistry barrier_view = *config_.metrics;
-        for (const auto& shard : shards) barrier_view.merge_from(shard.metrics);
-        write_checkpoint(stop, merged, &barrier_view);
-      } else {
-        write_checkpoint(stop, merged, nullptr);
-      }
-    }
-  }
-
-  if (reached_horizon) {
-    // Legacy tail: pop the first beyond-horizon event before the final
-    // probe sample, matching the single-threaded path byte-for-byte.
-    if (!merged.empty()) merged.pop();
-    if (probe != nullptr) probe->end_run(last_time_, merged.size(), wakes_);
-  }
-
-  merge_wall_s_ = merge_total_s;
-  shard_wakes_.resize(shard_count);
-  wheel_rebases_ = merged.rebases();
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    shard_wakes_[s] = shards[s].wakes;
-    wheel_rebases_ += shard_queues[s].rebases();
-    record_buffer_peak_bytes_ += shards[s].buffer.resident_bytes();
-    if (config_.metrics != nullptr) config_.metrics->merge_from(shards[s].metrics);
-  }
-  if (trace_ != nullptr) {
-    shard_busy_s_.resize(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      shard_busy_s_[s] = shards[s].busy_s;
-      if (shards[s].queue_hwm > queue_depth_hwm_) {
-        queue_depth_hwm_ = shards[s].queue_hwm;
-      }
-    }
-  }
-
-  if (interrupted_) {
-    // Shard deltas were folded into the main registry above, so the main
-    // registry IS the barrier view and the snapshot matches what a
-    // threads=1 interrupt at this barrier would have written.
-    write_checkpoint(stop, merged, config_.metrics);
-  }
 }
 
 void Engine::finish_run_metrics() {

@@ -5,18 +5,19 @@
 // Deterministic: (world seed, engine seed, fleet composition) fixes the
 // entire output — independent of Config::threads.
 //
-// Execution modes:
-//  * threads == 1 (default): the classic single event loop.
-//  * threads == K > 1: agents are partitioned into K shards by stable index
-//    (agent % K); one event loop per shard runs on a thread pool, buffering
-//    its emitted records into a per-shard RecordBuffer arena. A
-//    deterministic k-way merge then rebuilds the global (time, seq) pop
-//    order from the recorded per-wake schedule and replays every record
-//    into the sinks in exactly the single-threaded order — so threads=N
-//    output is byte-identical to threads=1 for every sink, scenario and
-//    fault schedule. Agents never interact (each owns a forked RNG; World,
-//    NetworkSelector and OutcomePolicy are consulted read-only), which is
-//    what makes the shard loops embarrassingly parallel.
+// Execution: agents are partitioned into K = Config::threads shards by
+// stable index (agent % K), and run() is one loop for every K. It plans a
+// window ending at the next cadence, congestion-bucket, stop-point or
+// horizon boundary; one global pop loop then walks `queue_` in (time, seq)
+// order through the window; a barrier ends it (congestion absorb and roll,
+// stop/shutdown, cadence checkpoint). With K = 1 the global loop steps each
+// popped agent straight into the sinks. With K > 1 the shards first run the
+// window on a thread pool, each buffering its records into a RecordBuffer,
+// and the global loop replays each buffered wake instead of stepping the
+// agent — so threads=N output is byte-identical to threads=1 for every
+// sink, scenario and fault schedule. Agents never interact (each owns a
+// forked RNG; World, NetworkSelector and OutcomePolicy are consulted
+// read-only), which is what makes the shard windows embarrassingly parallel.
 
 #include <memory>
 #include <stdexcept>
@@ -29,7 +30,10 @@
 #include "sim/agent_arena.hpp"
 #include "sim/device_agent.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/record_buffer.hpp"
+
+namespace wtr::util {
+class ThreadPool;
+}  // namespace wtr::util
 
 namespace wtr::obs {
 class EngineProbe;
@@ -102,10 +106,10 @@ class Engine {
     std::uint64_t seed = 7;
     std::int32_t horizon_days = 22;
     signaling::OutcomePolicyConfig outcomes{};
-    /// Shard/worker count for the event loop. 1 (the default) runs the
-    /// classic single-threaded path; K > 1 runs K sharded loops on a thread
-    /// pool and merges deterministically — the output stays byte-identical
-    /// to threads=1. Values above the agent count are clamped.
+    /// Shard count K. 1 (the default) steps every agent on the calling
+    /// thread; K > 1 runs K shard windows on a thread pool and replays them
+    /// deterministically — the output stays byte-identical to threads=1.
+    /// Values above the agent count are clamped.
     unsigned threads = 1;
     /// Optional fault-injection schedule consulted by the outcome policy.
     /// Not owned — must outlive the engine. Null or empty leaves the run
@@ -115,30 +119,29 @@ class Engine {
     /// registry receives outcome/engine counters; the probe samples the
     /// event loop on its sim-time cadence and rides the record stream as an
     /// extra sink. Neither touches any RNG: instrumented runs stay
-    /// byte-identical to bare ones. In sharded mode the outcome counters
-    /// accumulate in per-shard registries merged post-run, and the probe is
-    /// driven off the merged stream — trajectories stay deterministic.
+    /// byte-identical to bare ones. With K > 1 shards the outcome counters
+    /// accumulate in per-shard registries merged at checkpoints and at the
+    /// end of the run, and the probe is driven off the global pop loop —
+    /// trajectories stay deterministic.
     obs::MetricsRegistry* metrics = nullptr;
     obs::EngineProbe* probe = nullptr;
     /// Optional closed-loop congestion model (borrowed; must outlive the
     /// engine). When installed, window stops are additionally clamped to
     /// the model's bucket boundaries, shards count attach attempts into
     /// private ledgers, and the engine absorbs + rolls the model at
-    /// barriers on the merge thread — reject probabilities for bucket k are
+    /// barriers on the calling thread — reject probabilities for bucket k are
     /// a pure function of bucket k-1's merged load, so threads=N stays
     /// byte-identical to threads=1. Null leaves every run bit-identical to
     /// a build without the subsystem (no extra RNG draws, no clamping).
     /// The model's state rides inside engine snapshots; resume requires the
     /// same model presence and operator count.
     faults::CongestionModel* congestion = nullptr;
-    /// Checkpoint cadence in sim hours; 0 (the default) disables
-    /// checkpointing entirely and the run takes the exact legacy code
-    /// path — output stays byte-identical to a build without the
-    /// subsystem. With cadence on, a snapshot is written atomically to
-    /// `checkpoint_path` at every cadence boundary; in sharded mode the
-    /// boundaries double as merge barriers, so the snapshot is
-    /// thread-count-independent (threads=1 and threads=N write
-    /// bit-identical snapshots at the same boundary).
+    /// Checkpoint cadence in sim hours; 0 (the default) writes no cadence
+    /// snapshots. With cadence on, every cadence boundary ends a window and
+    /// a snapshot is written atomically to `checkpoint_path` at its barrier,
+    /// so the snapshot is thread-count-independent (threads=1 and threads=N
+    /// write bit-identical snapshots at the same boundary). Output is
+    /// byte-identical with the cadence on or off.
     std::int64_t checkpoint_every_sim_hours = 0;
     /// Where cadence (and graceful-shutdown / stop_after) snapshots land.
     /// Empty disables snapshot writes even when a cadence is set.
@@ -167,12 +170,6 @@ class Engine {
     std::string heartbeat_path;
     /// Minimum wall seconds between heartbeat rewrites.
     double heartbeat_every_wall_s = 1.0;
-    /// Snapshot container format this engine writes. Defaults to the
-    /// current version (3: hydration-flagged arena section). 2 writes the
-    /// legacy layout (every agent's state, no flags) readable by older
-    /// binaries; resume_from() auto-detects either on read. Any other
-    /// value is rejected at the first checkpoint write.
-    std::uint32_t snapshot_format = ckpt::kSnapshotVersion;
   };
 
   Engine(const topology::World& world, Config config);
@@ -242,7 +239,7 @@ class Engine {
   /// Total wake events processed by the last run.
   [[nodiscard]] std::uint64_t wakes_processed() const noexcept { return wakes_; }
 
-  /// Shards actually used by the last run (1 for the single-threaded path).
+  /// Shards actually used by the last run.
   [[nodiscard]] std::size_t shards_used() const noexcept {
     return shard_wakes_.empty() ? 1 : shard_wakes_.size();
   }
@@ -250,7 +247,8 @@ class Engine {
   [[nodiscard]] const std::vector<std::uint64_t>& shard_wakes() const noexcept {
     return shard_wakes_;
   }
-  /// Wall time of the deterministic merge phase (0 for threads=1).
+  /// Wall time the global pop loop spent replaying shard buffers (0 for
+  /// threads=1, where nothing is buffered).
   [[nodiscard]] double merge_wall_s() const noexcept { return merge_wall_s_; }
 
   /// True when the last run() returned early — graceful shutdown request
@@ -290,9 +288,11 @@ class Engine {
  private:
   struct Shard;
 
-  void run_single(const std::vector<RecordSink*>& sinks);
-  void run_sharded(const std::vector<RecordSink*>& sinks, std::size_t shard_count);
-  void run_shard_window(Shard& shard, EventQueue& queue, stats::SimTime stop);
+  /// K > 1 only: run every shard's window up to `stop` on the pool, each
+  /// buffering its records, and return once all of them are quiesced.
+  void run_shard_windows(std::vector<Shard>& shards, util::ThreadPool& pool,
+                         stats::SimTime stop);
+  void run_shard_window(Shard& shard, stats::SimTime stop);
   void finish_run_metrics();
   /// Rate-limited heartbeat write (no-op when no heartbeat is configured).
   void beat(const char* phase, stats::SimTime sim_now, bool force = false);
@@ -306,25 +306,20 @@ class Engine {
   [[nodiscard]] std::uint64_t fleet_fingerprint() const;
   /// Serialize full engine state resuming at `resume_time` and write it
   /// atomically to Config::checkpoint_path (no-op when the path is empty).
-  /// `queue` is the live global queue (queue_ for threads=1, the merge
-  /// queue for threads=N); `metrics_view` is the registry to persist — the
-  /// main one for threads=1, a barrier-merged clone for threads=N.
-  void write_checkpoint(stats::SimTime resume_time, const EventQueue& queue,
-                        const obs::MetricsRegistry* metrics_view);
+  /// The metrics persisted are the main registry plus, with K > 1 shards,
+  /// every shard's private delta so far.
+  void write_checkpoint(stats::SimTime resume_time, const std::vector<Shard>& shards);
 
   const topology::World& world_;
   Config config_;
   NetworkSelector selector_;
-  /// Single-threaded path's attempt ledger (shards own private ones).
-  /// Declared before outcomes_: the policy captures its address at
-  /// construction.
-  faults::CongestionLedger congestion_ledger_;
-  signaling::OutcomePolicy outcomes_;
   stats::Rng rng_;
   /// All agent state: cold catalog + dormant hot fields + lazily hydrated
-  /// working slots (also records each agent's first wake, which seeds the
-  /// per-shard queues and the merge replay without re-consuming agent RNG).
+  /// working slots (also records each agent's first wake, which the
+  /// snapshot fingerprint covers).
   AgentArena arena_;
+  /// The global queue: every pending wake in (time, seq) pop order, at any
+  /// shard count. K > 1 shard queues are filled from it at run start.
   EventQueue queue_;
   std::uint64_t wakes_ = 0;
   std::vector<std::uint64_t> shard_wakes_;
@@ -333,9 +328,6 @@ class Engine {
 
   // --- checkpoint/restore state --------------------------------------------
   std::vector<std::pair<std::string, ckpt::Checkpointable*>> checkpointables_;
-  /// Pending events restored from a snapshot, in global pop order; seeds
-  /// the run queue(s) in place of first_wakes_ when resumed_.
-  std::vector<std::pair<stats::SimTime, AgentIndex>> resume_events_;
   stats::SimTime resume_time_ = 0;   // window accounting restarts here
   stats::SimTime last_time_ = 0;     // time of the last processed event
   bool resumed_ = false;

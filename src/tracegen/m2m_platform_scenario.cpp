@@ -21,19 +21,7 @@ sim::Engine::Config engine_config_for(const M2MPlatformConfig& config) {
   sim::Engine::Config ec;
   ec.seed = stats::mix64(config.seed, 0x91a7f0u);
   ec.horizon_days = config.days;
-  ec.threads = config.threads;
   ec.outcomes.transient_failure_rate = 0.001;
-  ec.faults = config.faults;
-  ec.checkpoint_every_sim_hours = config.ckpt.every_sim_hours;
-  ec.checkpoint_path = config.ckpt.path;
-  ec.stop_after_sim_hours = config.ckpt.stop_after_sim_hours;
-  if (config.ckpt.snapshot_format != 0) {
-    ec.snapshot_format = config.ckpt.snapshot_format;
-  }
-  ec.trace_path = config.telemetry.trace_path;
-  ec.trace_capacity_per_track = config.telemetry.trace_capacity_per_track;
-  ec.heartbeat_path = config.telemetry.heartbeat_path;
-  ec.heartbeat_every_wall_s = config.telemetry.heartbeat_every_wall_s;
   return ec;
 }
 
@@ -47,8 +35,8 @@ cellnet::RatMask all_bands() {
 
 M2MPlatformScenario::M2MPlatformScenario(const M2MPlatformConfig& config)
     : ScenarioBase(world_config_for(config), cellnet::TacPools::Config{config.seed ^ 0x7ac5},
-                   engine_config_for(config), stats::mix64(config.seed, 0xf1ee7),
-                   config.obs),
+                   engine_config_for(config), config,
+                   stats::mix64(config.seed, 0xf1ee7)),
       config_(config) {
   build_es_fleets();
   build_mx_fleets();

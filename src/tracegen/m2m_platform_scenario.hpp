@@ -15,33 +15,17 @@
 //   * ≈40% of ES devices fail all 4G procedures (no-LTE SIM provisioning or
 //     dead subscriptions), the paper's pure-failure population.
 
-#include "faults/fault_schedule.hpp"
-#include "signaling/attach_backoff.hpp"
 #include "tracegen/scenario.hpp"
 
 namespace wtr::tracegen {
 
-struct M2MPlatformConfig {
+struct M2MPlatformConfig : RunOptions {
   std::uint64_t seed = 2018;
   std::size_t total_devices = 24'000;
   std::int32_t days = 11;
-  /// Engine shard/worker count (sim::Engine::Config::threads). Any value
-  /// yields byte-identical output to threads=1; >1 only changes wall time.
-  unsigned threads = 1;
   /// Platform probes capture no sector geometry; grids can be skipped for
   /// speed unless a consumer needs dwell records.
   bool build_coverage = false;
-  /// Optional fault-injection schedule (borrowed; null/empty = no faults).
-  const faults::FaultSchedule* faults = nullptr;
-  /// Mechanistic 3GPP attach backoff; disabled keeps the calibrated
-  /// retry-rate boost the Fig. 3 tail was fit with.
-  signaling::AttachBackoffConfig backoff{};
-  /// Observability hooks (borrowed; all-null disables the layer).
-  obs::Observability obs{};
-  /// Checkpoint/restore plumbing (all-default = off, legacy code path).
-  CheckpointOptions ckpt{};
-  /// Flight-recorder / heartbeat passthrough (all-default = off).
-  TelemetryOptions telemetry{};
 };
 
 class M2MPlatformScenario final : public ScenarioBase {

@@ -27,19 +27,7 @@ sim::Engine::Config engine_config_for(const MnoScenarioConfig& config) {
   sim::Engine::Config ec;
   ec.seed = stats::mix64(config.seed, 0x4d4e4f);
   ec.horizon_days = config.days;
-  ec.threads = config.threads;
   ec.outcomes.transient_failure_rate = 0.001;
-  ec.faults = config.faults;
-  ec.checkpoint_every_sim_hours = config.ckpt.every_sim_hours;
-  ec.checkpoint_path = config.ckpt.path;
-  ec.stop_after_sim_hours = config.ckpt.stop_after_sim_hours;
-  if (config.ckpt.snapshot_format != 0) {
-    ec.snapshot_format = config.ckpt.snapshot_format;
-  }
-  ec.trace_path = config.telemetry.trace_path;
-  ec.trace_capacity_per_track = config.telemetry.trace_capacity_per_track;
-  ec.heartbeat_path = config.telemetry.heartbeat_path;
-  ec.heartbeat_every_wall_s = config.telemetry.heartbeat_every_wall_s;
   return ec;
 }
 
@@ -49,8 +37,8 @@ cellnet::RatMask two_g_only() { return cellnet::RatMask{0b001}; }
 
 MnoScenario::MnoScenario(const MnoScenarioConfig& config)
     : ScenarioBase(world_config_for(config), cellnet::TacPools::Config{config.seed ^ 0x6d6e},
-                   engine_config_for(config), stats::mix64(config.seed, 0x6f6b),
-                   config.obs),
+                   engine_config_for(config), config,
+                   stats::mix64(config.seed, 0x6f6b)),
       config_(config) {
   // The scenario models the population of THIS UK MNO. Inbound SIMs'
   // home operators steer their UK roamers to it (commercial preference);

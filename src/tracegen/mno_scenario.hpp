@@ -7,8 +7,6 @@
 // Default scale is 24k devices (the paper's 39.6M scaled down; all reported
 // statistics are shares or distribution shapes).
 
-#include "faults/fault_schedule.hpp"
-#include "signaling/attach_backoff.hpp"
 #include "tracegen/scenario.hpp"
 
 namespace wtr::tracegen {
@@ -18,13 +16,10 @@ namespace wtr::tracegen {
 inline constexpr std::uint32_t kFaultDomainInboundMeters = 1;
 inline constexpr std::uint32_t kFaultDomainNativeM2M = 2;
 
-struct MnoScenarioConfig {
+struct MnoScenarioConfig : RunOptions {
   std::uint64_t seed = 2019;
   std::size_t total_devices = 24'000;
   std::int32_t days = 22;
-  /// Engine shard/worker count (sim::Engine::Config::threads). Any value
-  /// yields byte-identical output to threads=1; >1 only changes wall time.
-  unsigned threads = 1;
   bool build_coverage = true;  // needed for the mobility figures
   /// What-if (§6.1/§8 discussion): the UK retires its 2G networks. The same
   /// population is simulated against 3G/4G-only coverage; 2G-only hardware
@@ -35,21 +30,6 @@ struct MnoScenarioConfig {
   /// NB-IoT deployment in GB/NL and NB-IoT roaming in the agreements (the
   /// GSMA roaming-trial world). Used by the X3 extension bench.
   double nbiot_meter_share = 0.0;
-  /// Optional fault-injection schedule (borrowed; must outlive the
-  /// scenario). Null or empty keeps the run bit-identical to the no-fault
-  /// build. Episode times are sim seconds (stats::day_start helps).
-  const faults::FaultSchedule* faults = nullptr;
-  /// Retry model for every fleet: enable for the mechanistic 3GPP
-  /// T3411/T3402 backoff; leave disabled for the calibrated legacy
-  /// retry-rate boost (the default the headline figures were fit with).
-  signaling::AttachBackoffConfig backoff{};
-  /// Observability hooks (borrowed; all-null disables the layer and keeps
-  /// the run byte-identical).
-  obs::Observability obs{};
-  /// Checkpoint/restore plumbing (all-default = off, legacy code path).
-  CheckpointOptions ckpt{};
-  /// Flight-recorder / heartbeat passthrough (all-default = off).
-  TelemetryOptions telemetry{};
 };
 
 class MnoScenario final : public ScenarioBase {

@@ -12,17 +12,26 @@ std::unordered_map<signaling::DeviceHash, devices::DeviceClass> class_truth(
 
 ScenarioBase::ScenarioBase(topology::WorldConfig world_config,
                            cellnet::TacPools::Config tac_config,
-                           sim::Engine::Config engine_config, std::uint64_t fleet_seed,
-                           obs::Observability obs)
-    : obs_(obs), tac_pools_(tac_config) {
+                           sim::Engine::Config engine_config, const RunOptions& run,
+                           std::uint64_t fleet_seed)
+    : obs_(run.obs), tac_pools_(tac_config) {
   {
     obs::ScopedTimer timer{obs_.timers, "scenario/world"};
     world_ = std::make_unique<topology::World>(topology::World::build(world_config));
   }
   fleet_builder_ =
       std::make_unique<devices::FleetBuilder>(*world_, tac_pools_, fleet_seed);
+  engine_config.threads = run.threads;
+  engine_config.faults = run.faults;
   engine_config.metrics = obs_.metrics;
   engine_config.probe = obs_.probe;
+  engine_config.checkpoint_every_sim_hours = run.ckpt.every_sim_hours;
+  engine_config.checkpoint_path = run.ckpt.path;
+  engine_config.stop_after_sim_hours = run.ckpt.stop_after_sim_hours;
+  engine_config.trace_path = run.telemetry.trace_path;
+  engine_config.trace_capacity_per_track = run.telemetry.trace_capacity_per_track;
+  engine_config.heartbeat_path = run.telemetry.heartbeat_path;
+  engine_config.heartbeat_every_wall_s = run.telemetry.heartbeat_every_wall_s;
   engine_ = std::make_unique<sim::Engine>(*world_, engine_config);
 }
 

@@ -11,15 +11,16 @@
 
 #include "cellnet/tac_catalog.hpp"
 #include "devices/fleet_builder.hpp"
+#include "faults/fault_schedule.hpp"
 #include "obs/observability.hpp"
+#include "signaling/attach_backoff.hpp"
 #include "sim/engine.hpp"
 #include "topology/world.hpp"
 
 namespace wtr::tracegen {
 
-/// Checkpoint/restore passthrough shared by all scenario configs (maps 1:1
-/// onto the sim::Engine::Config checkpoint fields). All-default disables
-/// checkpointing and keeps the run on the legacy byte-identical code path.
+/// Checkpoint/restore passthrough (maps 1:1 onto the sim::Engine::Config
+/// checkpoint fields). All-default writes no snapshots.
 struct CheckpointOptions {
   /// Snapshot cadence in sim hours (0 = off).
   std::int64_t every_sim_hours = 0;
@@ -27,15 +28,12 @@ struct CheckpointOptions {
   std::string path;
   /// Deterministic in-process interrupt at this sim-hour boundary (0 = off).
   std::int64_t stop_after_sim_hours = 0;
-  /// Snapshot container version to write (0 = current). Resume auto-detects;
-  /// pinning 2 emits the legacy every-agent layout for older readers.
-  std::uint32_t snapshot_format = 0;
 };
 
-/// Live-telemetry passthrough shared by all scenario configs (maps 1:1 onto
-/// the sim::Engine::Config flight-recorder/heartbeat fields). All-default
-/// disables both and keeps the run on the untraced code path; enabling them
-/// never changes simulation output (see src/obs/trace.hpp).
+/// Live-telemetry passthrough (maps 1:1 onto the sim::Engine::Config
+/// flight-recorder/heartbeat fields). All-default disables both and keeps
+/// the run on the untraced code path; enabling them never changes
+/// simulation output (see src/obs/trace.hpp).
 struct TelemetryOptions {
   /// Chrome trace-event JSON export path (empty = flight recorder off).
   std::string trace_path;
@@ -45,6 +43,31 @@ struct TelemetryOptions {
   std::string heartbeat_path;
   /// Minimum wall seconds between heartbeat rewrites.
   double heartbeat_every_wall_s = 1.0;
+};
+
+/// How to run a scenario, as opposed to what it simulates: the options every
+/// scenario config inherits. The ScenarioBase constructor maps them onto
+/// sim::Engine::Config; none of them changes simulation output except
+/// `faults` and `backoff`.
+struct RunOptions {
+  /// Engine shard count (sim::Engine::Config::threads). Any value yields
+  /// byte-identical output to threads=1; >1 only changes wall time.
+  unsigned threads = 1;
+  /// Optional fault-injection schedule (borrowed; must outlive the
+  /// scenario). Null or empty keeps the run bit-identical to the no-fault
+  /// build. Episode times are sim seconds (stats::day_start helps).
+  const faults::FaultSchedule* faults = nullptr;
+  /// Retry model for every fleet: enable for the mechanistic 3GPP
+  /// T3411/T3402 backoff; leave disabled for the calibrated retry-rate
+  /// boost the headline figures were fit with.
+  signaling::AttachBackoffConfig backoff{};
+  /// Observability hooks (borrowed; all-null disables the layer and keeps
+  /// the run byte-identical).
+  obs::Observability obs{};
+  /// Checkpoint/restore plumbing (all-default = off).
+  CheckpointOptions ckpt{};
+  /// Flight-recorder / heartbeat passthrough (all-default = off).
+  TelemetryOptions telemetry{};
 };
 
 struct GroundTruthEntry {
@@ -62,14 +85,16 @@ class_truth(const GroundTruthMap& truth);
 
 class ScenarioBase {
  public:
-  /// `obs` (all-null by default) wires the observability layer through the
-  /// whole scenario: world build and fleet construction run under phase
+  /// `engine_config` carries what the concrete scenario decides (seed,
+  /// horizon, outcome policy, congestion model); `run` fills in the rest.
+  /// `run.obs` (all-null by default) wires the observability layer through
+  /// the whole scenario: world build and fleet construction run under phase
   /// timers ("scenario/world", "scenario/fleets"), the engine gets the
   /// metrics registry and probe, and run() times "engine/run". Disabled
   /// observability leaves every output byte-identical.
   ScenarioBase(topology::WorldConfig world_config, cellnet::TacPools::Config tac_config,
-               sim::Engine::Config engine_config, std::uint64_t fleet_seed,
-               obs::Observability obs = {});
+               sim::Engine::Config engine_config, const RunOptions& run,
+               std::uint64_t fleet_seed);
   virtual ~ScenarioBase() = default;
 
   ScenarioBase(const ScenarioBase&) = delete;

@@ -15,21 +15,9 @@ sim::Engine::Config engine_config_for(const SmipScenarioConfig& config) {
   sim::Engine::Config ec;
   ec.seed = stats::mix64(config.seed, 0x534d4950);  // "SMIP"
   ec.horizon_days = config.days;
-  ec.threads = config.threads;
   // Calibrated so ~10% of native meters see ≥1 failed event over the
   // window while the chattier roaming meters reach ~35% (§7.1).
   ec.outcomes.transient_failure_rate = 0.0004;
-  ec.faults = config.faults;
-  ec.checkpoint_every_sim_hours = config.ckpt.every_sim_hours;
-  ec.checkpoint_path = config.ckpt.path;
-  ec.stop_after_sim_hours = config.ckpt.stop_after_sim_hours;
-  if (config.ckpt.snapshot_format != 0) {
-    ec.snapshot_format = config.ckpt.snapshot_format;
-  }
-  ec.trace_path = config.telemetry.trace_path;
-  ec.trace_capacity_per_track = config.telemetry.trace_capacity_per_track;
-  ec.heartbeat_path = config.telemetry.heartbeat_path;
-  ec.heartbeat_every_wall_s = config.telemetry.heartbeat_every_wall_s;
   return ec;
 }
 
@@ -37,8 +25,8 @@ sim::Engine::Config engine_config_for(const SmipScenarioConfig& config) {
 
 SmipScenario::SmipScenario(const SmipScenarioConfig& config)
     : ScenarioBase(world_config_for(config), cellnet::TacPools::Config{config.seed ^ 0x51},
-                   engine_config_for(config), stats::mix64(config.seed, 0x5150),
-                   config.obs),
+                   engine_config_for(config), config,
+                   stats::mix64(config.seed, 0x5150)),
       config_(config) {
   const auto& wk = world_->well_known();
   // Steer the Dutch provisioner's UK roamers to the observed MNO (see

@@ -8,32 +8,16 @@
 
 #include <unordered_set>
 
-#include "faults/fault_schedule.hpp"
-#include "signaling/attach_backoff.hpp"
 #include "tracegen/scenario.hpp"
 
 namespace wtr::tracegen {
 
-struct SmipScenarioConfig {
+struct SmipScenarioConfig : RunOptions {
   std::uint64_t seed = 1019;   // October 2019
   std::size_t total_devices = 16'000;
   std::int32_t days = 26;
   double native_share = 0.55;
-  /// Engine shard/worker count (sim::Engine::Config::threads). Any value
-  /// yields byte-identical output to threads=1; >1 only changes wall time.
-  unsigned threads = 1;
   bool build_coverage = true;
-  /// Optional fault-injection schedule (borrowed; null/empty = no faults).
-  const faults::FaultSchedule* faults = nullptr;
-  /// Mechanistic 3GPP attach backoff; disabled keeps the calibrated
-  /// retry-rate boost.
-  signaling::AttachBackoffConfig backoff{};
-  /// Observability hooks (borrowed; all-null disables the layer).
-  obs::Observability obs{};
-  /// Checkpoint/restore plumbing (all-default = off, legacy code path).
-  CheckpointOptions ckpt{};
-  /// Flight-recorder / heartbeat passthrough (all-default = off).
-  TelemetryOptions telemetry{};
 };
 
 class SmipScenario final : public ScenarioBase {

@@ -17,20 +17,8 @@ sim::Engine::Config engine_config_for(const StormScenarioConfig& config) {
   sim::Engine::Config ec;
   ec.seed = stats::mix64(config.seed, 0x53544f524d);  // "STORM"
   ec.horizon_days = config.days;
-  ec.threads = config.threads;
   ec.outcomes.transient_failure_rate = 0.001;
-  ec.faults = config.faults;
   ec.congestion = config.congestion;
-  ec.checkpoint_every_sim_hours = config.ckpt.every_sim_hours;
-  ec.checkpoint_path = config.ckpt.path;
-  ec.stop_after_sim_hours = config.ckpt.stop_after_sim_hours;
-  if (config.ckpt.snapshot_format != 0) {
-    ec.snapshot_format = config.ckpt.snapshot_format;
-  }
-  ec.trace_path = config.telemetry.trace_path;
-  ec.trace_capacity_per_track = config.telemetry.trace_capacity_per_track;
-  ec.heartbeat_path = config.telemetry.heartbeat_path;
-  ec.heartbeat_every_wall_s = config.telemetry.heartbeat_every_wall_s;
   return ec;
 }
 
@@ -38,8 +26,8 @@ sim::Engine::Config engine_config_for(const StormScenarioConfig& config) {
 
 StormScenario::StormScenario(const StormScenarioConfig& config)
     : ScenarioBase(world_config_for(config), cellnet::TacPools::Config{config.seed ^ 0x5354},
-                   engine_config_for(config), stats::mix64(config.seed, 0x68657264),
-                   config.obs),
+                   engine_config_for(config), config,
+                   stats::mix64(config.seed, 0x68657264)),
       config_(config) {
   build_meter_herd();
   build_fota_trackers();

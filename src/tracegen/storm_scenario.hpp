@@ -10,8 +10,6 @@
 // (legacy firmware), against the same CongestionModel.
 
 #include "faults/congestion.hpp"
-#include "faults/fault_schedule.hpp"
-#include "signaling/attach_backoff.hpp"
 #include "tracegen/scenario.hpp"
 
 namespace wtr::tracegen {
@@ -20,14 +18,13 @@ namespace wtr::tracegen {
 inline constexpr std::uint32_t kFaultDomainStormMeters = 11;
 inline constexpr std::uint32_t kFaultDomainStormTrackers = 12;
 
-struct StormScenarioConfig {
+struct StormScenarioConfig : RunOptions {
   std::uint64_t seed = 7331;
   /// Synchronized check-in herd (native smart meters, EAB candidates).
   std::size_t meters = 1'600;
   /// FOTA campaign fleet (logistics trackers).
   std::size_t trackers = 400;
   std::int32_t days = 3;
-  unsigned threads = 1;
   /// Storms are a signaling exercise; coverage is not needed by default.
   bool build_coverage = false;
 
@@ -48,16 +45,9 @@ struct StormScenarioConfig {
   // --- plumbing ------------------------------------------------------------
   /// The closed-loop overload model (borrowed; must outlive the scenario;
   /// rolled by the engine at window barriers). Null disables congestion and
-  /// keeps the run byte-identical to a congestion-free build.
+  /// keeps the run byte-identical to a congestion-free build. Capacity-drop
+  /// episodes in `faults` compose with it through capacity_scale_at.
   faults::CongestionModel* congestion = nullptr;
-  /// Optional open-loop fault schedule (capacity drops compose with the
-  /// congestion model through capacity_scale_at).
-  const faults::FaultSchedule* faults = nullptr;
-  signaling::AttachBackoffConfig backoff{};
-  obs::Observability obs{};
-  CheckpointOptions ckpt{};
-  /// Flight-recorder / heartbeat passthrough (all-default = off).
-  TelemetryOptions telemetry{};
 };
 
 class StormScenario final : public ScenarioBase {

@@ -1,10 +1,11 @@
 // wtr_ckpt_harness: the child process the crash-recovery tests and the
 // supervised-run script drive. It runs one scenario with checkpointing
-// enabled, streaming records into a crash-safe TraceFileSink, and exits with
-// a small, scriptable contract:
+// enabled, streaming records into a crash-safe WTRTRC1 trace file
+// (ckpt::BinaryTraceFileSink), and exits with a small, scriptable contract:
 //
-//   exit 0  run reached the horizon; records.txt / metrics.txt / probe.txt /
-//           MANIFEST.json (+ resilience.txt when faulted) are complete
+//   exit 0  run reached the horizon; records.bin (sealed) / metrics.txt /
+//           probe.txt / MANIFEST.json (+ resilience.txt when faulted) are
+//           complete
 //   exit 2  usage error
 //   exit 3  run was interrupted (SIGINT/SIGTERM or --stop-hours); the final
 //           checkpoint and the flushed record prefix are on disk
@@ -391,8 +392,8 @@ int run_harness(const Options& opt) {
                                 congestion.get(), observation.view());
 
   // Crash-safe record sink: its byte offset rides in every checkpoint, so a
-  // resume truncates records.txt back to exactly the checkpointed prefix.
-  ckpt::TraceFileSink sink{opt.out_dir + "/records.txt", opt.resume};
+  // resume truncates records.bin back to exactly the checkpointed prefix.
+  ckpt::BinaryTraceFileSink sink{opt.out_dir + "/records.bin", opt.resume};
   scenario->engine().register_checkpointable("trace_sink", &sink);
   sink.set_trace(scenario->engine().flight_recorder(),
                  obs::FlightRecorder::kEngineTrack);
@@ -423,7 +424,9 @@ int run_harness(const Options& opt) {
     return 3;
   }
 
-  sink.flush_and_sync();
+  // Completed: seal the trace with its end marker (interrupted runs above
+  // leave it unsealed — a resume truncates and appends to it).
+  sink.finish();
   write_text(opt.out_dir + "/metrics.txt", dump_metrics(observation.metrics()));
   write_text(opt.out_dir + "/probe.txt", dump_probe(observation.probe()));
   if (report) {

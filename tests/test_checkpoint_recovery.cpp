@@ -9,17 +9,24 @@
 //    byte-identical to an uninterrupted golden run, at threads=1 and
 //    threads=4, under a non-empty FaultSchedule with 3GPP backoff enabled.
 //
-//  * Snapshot integrity: a deliberately truncated and a bit-flipped
-//    snapshot must be rejected with a nonzero exit and a diagnostic on
-//    stderr (never a silent wrong resume), and a config-mismatched resume
-//    must fail the fleet-fingerprint check. The pristine snapshot then
-//    resumes cleanly — proving the rejections were about corruption.
+//  * Snapshot integrity: a deliberately truncated, a bit-flipped and a
+//    version-skewed snapshot must be rejected with a nonzero exit and a
+//    diagnostic on stderr (never a silent wrong resume), and a
+//    config-mismatched resume must fail the fleet-fingerprint check. The
+//    pristine snapshot then resumes cleanly — proving the rejections were
+//    about corruption.
 //
 //  * In-process resume-across-faults: a faulted run interrupted *inside* an
 //    outage window must resume with identical backoff timers (asserted via
 //    the full per-agent state blob, which contains every T3411/T3402 timer
 //    and the agent RNG), an identical spliced record stream, and identical
 //    ResilienceReport totals — threads 1 and 4.
+//
+//  * Graceful shutdown: a sink requests shutdown at a fixed record count.
+//    One shard without congestion stops between two wakes; sharded runs stop
+//    at the next barrier, and a window that reaches the horizon completes
+//    the run instead. Either way the resumed (or completed) stream equals
+//    the uninterrupted one.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +36,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -38,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/shutdown.hpp"
 #include "ckpt/snapshot.hpp"
 #include "faults/fault_schedule.hpp"
 #include "faults/resilience_report.hpp"
@@ -45,6 +54,7 @@
 #include "stats/sim_time.hpp"
 #include "tracegen/mno_scenario.hpp"
 #include "util/binio.hpp"
+#include "util/crc32.hpp"
 
 #ifndef WTR_CKPT_HARNESS_PATH
 #error "WTR_CKPT_HARNESS_PATH must point at the wtr_ckpt_harness binary"
@@ -226,7 +236,7 @@ void run_kill_recovery(unsigned threads, std::uint32_t rng_seed) {
                                 "raise --devices or lower --ckpt-hours";
 
   for (const auto* name :
-       {"records.txt", "metrics.txt", "probe.txt", "MANIFEST.json",
+       {"records.bin", "metrics.txt", "probe.txt", "MANIFEST.json",
         "resilience.txt"}) {
     expect_same_file(golden_dir, crash_dir, name);
   }
@@ -274,7 +284,7 @@ void run_storm_kill_recovery(unsigned threads, std::uint32_t rng_seed) {
   EXPECT_GE(result.kills, 2) << "run finished before enough kills landed — "
                                 "raise --devices or lower --ckpt-hours";
 
-  for (const auto* name : {"records.txt", "metrics.txt", "probe.txt",
+  for (const auto* name : {"records.bin", "metrics.txt", "probe.txt",
                            "MANIFEST.json"}) {
     expect_same_file(golden_dir, crash_dir, name);
   }
@@ -332,6 +342,21 @@ TEST(CheckpointRecovery, CorruptSnapshotsAreRejected) {
     EXPECT_EQ(run_to_exit(resume_args, errs), 4);
     EXPECT_NE(read_file(errs).find("snapshot"), std::string::npos);
   }
+  {  // Version skew: a CRC-clean header declaring format version 2.
+    std::string skewed = pristine;
+    util::BinWriter version;
+    version.u32(2);
+    skewed.replace(8, 4, version.bytes());  // after the 8-byte magic
+    util::BinWriter header_crc;
+    header_crc.u32(util::crc32(std::string_view(skewed).substr(0, 24)));
+    skewed.replace(24, 4, header_crc.bytes());
+    write_file(ckpt, skewed);
+    EXPECT_EQ(run_to_exit(resume_args, errs), 4);
+    const auto diagnostic = read_file(errs);
+    EXPECT_NE(diagnostic.find("snapshot rejected"), std::string::npos) << diagnostic;
+    EXPECT_NE(diagnostic.find("format version 2 unsupported"), std::string::npos)
+        << diagnostic;
+  }
   {  // Pristine bytes but a different world: fleet fingerprint must reject.
     write_file(ckpt, pristine);
     std::vector<std::string> wrong{"--scenario", "mno",  "--devices", "200",
@@ -356,8 +381,8 @@ std::string hex_double(double v) {
 }
 
 /// StreamSerializer with a checkpointed byte offset: the in-process stand-in
-/// for ckpt::TraceFileSink (same truncate-to-offset resume semantics, but
-/// against an in-memory string the test can splice and compare).
+/// for ckpt::BinaryTraceFileSink (same truncate-to-offset resume semantics,
+/// but against an in-memory string the test can splice and compare).
 class CheckpointableStream final : public sim::RecordSink,
                                    public ckpt::Checkpointable {
  public:
@@ -593,6 +618,132 @@ TEST(CheckpointRecovery, ResumeInsideOutageWindowIsDeterministic) {
 
     fs::remove_all(dir);
   }
+}
+
+// --- graceful shutdown -------------------------------------------------------
+
+/// Requests a graceful shutdown on its `at`-th record — the in-process
+/// stand-in for a SIGINT landing mid-run.
+class ShutdownAtRecord final : public sim::RecordSink {
+ public:
+  explicit ShutdownAtRecord(std::uint64_t at) : at_(at) {}
+
+  void on_signaling(const signaling::SignalingTransaction&, bool) override { count(); }
+  void on_cdr(const records::Cdr&) override { count(); }
+  void on_xdr(const records::Xdr&) override { count(); }
+  void on_dwell(signaling::DeviceHash, std::int32_t, cellnet::Plmn,
+                const cellnet::GeoPoint&, double) override {
+    count();
+  }
+
+ private:
+  void count() {
+    if (++seen_ == at_) ckpt::request_shutdown();
+  }
+
+  std::uint64_t at_;
+  std::uint64_t seen_ = 0;
+};
+
+struct ShutdownCapture {
+  std::string stream;
+  std::string metrics;
+  bool interrupted = false;
+};
+
+/// One MNO run into a CheckpointableStream. `shutdown_at` > 0 adds the
+/// shutdown trigger (the flag is reset before returning); a non-empty
+/// `resume` path resumes onto `prefix` first.
+ShutdownCapture run_shutdown_case(unsigned threads, const tracegen::CheckpointOptions& ckpt,
+                                  std::uint64_t shutdown_at,
+                                  const std::string& resume = {},
+                                  const std::string& prefix = {}) {
+  obs::RunObservation observation;
+  auto config = faulted_config(threads, nullptr, observation.view());
+  config.ckpt = ckpt;
+  tracegen::MnoScenario scenario{config};
+  CheckpointableStream sink;
+  sink.stream = prefix;
+  scenario.engine().register_checkpointable("stream", &sink);
+  if (!resume.empty()) scenario.resume_from(resume);
+  ShutdownAtRecord trigger{shutdown_at};
+  std::vector<sim::RecordSink*> sinks{&sink};
+  if (shutdown_at > 0) sinks.push_back(&trigger);
+  scenario.run(sinks);
+  ckpt::reset_shutdown_flag();
+  return {sink.stream, dump_metrics(observation.metrics()),
+          scenario.engine().interrupted()};
+}
+
+/// Early enough to land inside the first 6 h window of the 400-device run.
+constexpr std::uint64_t kShutdownAt = 200;
+
+/// Shutdown at record kShutdownAt, then resume to the horizon: the spliced
+/// stream and the metrics must equal the uninterrupted run's. Returns the
+/// interrupted run's stream prefix.
+std::string interrupt_and_resume(unsigned threads, std::int64_t cadence_hours) {
+  const auto golden = run_shutdown_case(1, {}, 0);
+  const auto dir = make_temp_dir("shutdown");
+  tracegen::CheckpointOptions ckpt;
+  ckpt.path = dir + "/ckpt.bin";
+  ckpt.every_sim_hours = cadence_hours;
+
+  const auto cut = run_shutdown_case(threads, ckpt, kShutdownAt);
+  EXPECT_TRUE(cut.interrupted);
+  EXPECT_LT(cut.stream.size(), golden.stream.size());
+  EXPECT_EQ(cut.stream, golden.stream.substr(0, cut.stream.size()));
+
+  const auto resumed = run_shutdown_case(threads, ckpt, 0, ckpt.path, cut.stream);
+  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_EQ(resumed.stream, golden.stream);
+  EXPECT_EQ(resumed.metrics, golden.metrics);
+  fs::remove_all(dir);
+  return cut.stream;
+}
+
+std::size_t line_count(const std::string& stream) {
+  return static_cast<std::size_t>(std::count(stream.begin(), stream.end(), '\n'));
+}
+
+TEST(CheckpointRecovery, GracefulShutdownOneShardStopsBetweenWakes) {
+  // No cadence and no congestion: the only barrier is the horizon, so an
+  // interrupted run must have stopped at the first wake boundary after the
+  // trigger, with the triggering wake's records (a handful) still delivered.
+  const auto prefix = interrupt_and_resume(1, 0);
+  EXPECT_GE(line_count(prefix), kShutdownAt);
+  EXPECT_LT(line_count(prefix), kShutdownAt + 100);
+}
+
+TEST(CheckpointRecovery, GracefulShutdownShardedStopsAtNextBarrier) {
+  // Two shards, 6 h cadence: the request lands while the first window is
+  // replayed, so the run stops at its 6 h barrier — exactly where a
+  // stop-after-6 h run stops.
+  const auto prefix = interrupt_and_resume(2, 6);
+  const auto dir = make_temp_dir("stop6");
+  tracegen::CheckpointOptions stop6;
+  stop6.path = dir + "/ckpt.bin";
+  stop6.stop_after_sim_hours = 6;
+  const auto at_barrier = run_shutdown_case(2, stop6, 0);
+  EXPECT_TRUE(at_barrier.interrupted);
+  EXPECT_EQ(prefix, at_barrier.stream);
+  EXPECT_GT(line_count(prefix), kShutdownAt);
+  fs::remove_all(dir);
+}
+
+TEST(CheckpointRecovery, GracefulShutdownInHorizonWindowCompletesRun) {
+  // Two shards, no cadence: the one window ends at the horizon, so the
+  // request is honoured only there — and a window that reaches the horizon
+  // completes the run, with its run-summary metrics.
+  const auto golden = run_shutdown_case(1, {}, 0);
+  const auto dir = make_temp_dir("horizon");
+  tracegen::CheckpointOptions ckpt;
+  ckpt.path = dir + "/ckpt.bin";
+  const auto run = run_shutdown_case(2, ckpt, kShutdownAt);
+  EXPECT_FALSE(run.interrupted);
+  EXPECT_FALSE(fs::exists(ckpt.path));
+  EXPECT_EQ(run.stream, golden.stream);
+  EXPECT_EQ(run.metrics, golden.metrics);
+  fs::remove_all(dir);
 }
 
 }  // namespace
