@@ -62,10 +62,12 @@ echo "check.sh: all tests passed under ASan/UBSan"
 # torn/bit-flipped snapshots are rejected loudly. The binary-trace
 # corruption suite rides along: truncations, bit flips, dangling dictionary
 # indices, and oversized block lengths must all surface as BinaryTraceError,
-# never as a sanitizer report. Serial on purpose — kill timing is
-# wall-clock sensitive and must not share cores with other tests.
-ctest --test-dir "$build_dir" --output-on-failure -R 'CheckpointRecovery|EventQueueProp|BinaryTrace'
-echo "check.sh: crash-recovery gate passed (kill injection + queue fuzz + trace corruption under ASan)"
+# never as a sanitizer report. The CRC-32 suite reruns beside them, since
+# every snapshot and block rejection above rests on it. Serial on purpose —
+# kill timing is wall-clock sensitive and must not share cores with other
+# tests.
+ctest --test-dir "$build_dir" --output-on-failure -R 'CheckpointRecovery|EventQueueProp|BinaryTrace|Crc32'
+echo "check.sh: crash-recovery gate passed (kill injection + queue fuzz + trace corruption + CRC-32 under ASan)"
 
 # --- TSan gate (separate tree: TSan and ASan cannot share a build) ---------
 tsan_dir="build-tsan"

@@ -27,12 +27,12 @@ constexpr std::size_t kFooterSize = 4 + 8;
   fail(path, what + ": " + std::strerror(errno));
 }
 
-std::string build_header(std::string_view payload) {
+std::string build_header(std::size_t payload_size, std::uint32_t payload_crc) {
   util::BinWriter header;
   header.raw(kHeaderMagic, sizeof kHeaderMagic);
   header.u32(kSnapshotVersion);
-  header.u64(payload.size());
-  header.u32(util::crc32(payload));
+  header.u64(payload_size);
+  header.u32(payload_crc);
   header.u32(util::crc32(header.bytes()));
   return header.take();
 }
@@ -50,9 +50,11 @@ void write_snapshot_atomic(const std::string& path, std::string_view payload,
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) fail_errno(path, "cannot create " + tmp);
 
-  const std::string header = build_header(payload);
+  // Header and footer carry the same payload CRC: compute it once.
+  const std::uint32_t payload_crc = util::crc32(payload);
+  const std::string header = build_header(payload.size(), payload_crc);
   util::BinWriter footer;
-  footer.u32(util::crc32(payload));
+  footer.u32(payload_crc);
   footer.raw(kFooterMagic, sizeof kFooterMagic);
 
   auto write_all = [&](std::string_view bytes) {

@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 
+#include "records/plmn_column.hpp"
 #include "util/crc32.hpp"
 
 namespace wtr::io {
@@ -131,7 +132,7 @@ void BinaryTraceWriter::add_dwell(signaling::DeviceHash device, std::int32_t day
   require_open("add_dwell");
   dwell_.device.push_back(device);
   dwell_.day.push_back(day);
-  dwell_.plmn.push_back(dwell_dict_.intern(visited_plmn.to_string()));
+  dwell_.plmn.push_back(records::intern_plmn(dwell_dict_, visited_plmn));
   dwell_.lat.push_back(location.lat);
   dwell_.lon.push_back(location.lon);
   dwell_.seconds.push_back(seconds);

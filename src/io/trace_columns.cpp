@@ -6,7 +6,7 @@
 namespace wtr::io {
 
 std::uint32_t TraceDict::intern(std::string_view s) {
-  const auto it = index_.find(std::string(s));
+  const auto it = index_.find(s);
   if (it != index_.end()) return it->second;
   const auto idx = static_cast<std::uint32_t>(strings_.size());
   strings_.emplace_back(s);
@@ -17,6 +17,7 @@ std::uint32_t TraceDict::intern(std::string_view s) {
 void TraceDict::clear() {
   strings_.clear();
   index_.clear();
+  keyed_.clear();
 }
 
 void TraceDict::write(util::BinWriter& out) const {

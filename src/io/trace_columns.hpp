@@ -11,8 +11,10 @@
 // dragging in the sink/reader machinery.
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +30,20 @@ class TraceDict {
   /// Index of `s`, interning it on first sight.
   std::uint32_t intern(std::string_view s);
 
+  /// Index of the string `render()` returns, looked up by an integer `key`
+  /// that stands for it (equal keys must render equal strings): `render`
+  /// runs only the first time `key` is seen, and that miss interns through
+  /// intern(s). The entries and their order are therefore exactly those of
+  /// intern(render()), and a keyed string shares its entry with an equal
+  /// string interned either way.
+  template <typename Render>
+  std::uint32_t intern(std::uint64_t key, Render&& render) {
+    if (const auto it = keyed_.find(key); it != keyed_.end()) return it->second;
+    const std::uint32_t idx = intern(std::string_view{render()});
+    keyed_.emplace(key, idx);
+    return idx;
+  }
+
   [[nodiscard]] std::size_t size() const noexcept { return strings_.size(); }
   [[nodiscard]] std::span<const std::string> strings() const noexcept {
     return strings_;
@@ -41,8 +57,17 @@ class TraceDict {
   static TraceDict read(util::BinReader& in);
 
  private:
+  /// Transparent, so intern(string_view) looks up without building a string.
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> strings_;
-  std::unordered_map<std::string, std::uint32_t> index_;
+  std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>> index_;
+  std::unordered_map<std::uint64_t, std::uint32_t> keyed_;
 };
 
 // --- Column codecs ----------------------------------------------------------

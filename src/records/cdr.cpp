@@ -2,6 +2,7 @@
 
 #include "io/csv.hpp"
 #include "io/table.hpp"
+#include "records/plmn_column.hpp"
 
 namespace wtr::records {
 
@@ -49,8 +50,8 @@ void CdrColumns::clear() {
 void bin_append(CdrColumns& columns, io::TraceDict& dict, const Cdr& cdr) {
   columns.device.push_back(cdr.device);
   columns.time.push_back(cdr.time);
-  columns.sim_plmn.push_back(dict.intern(cdr.sim_plmn.to_string()));
-  columns.visited_plmn.push_back(dict.intern(cdr.visited_plmn.to_string()));
+  columns.sim_plmn.push_back(intern_plmn(dict, cdr.sim_plmn));
+  columns.visited_plmn.push_back(intern_plmn(dict, cdr.visited_plmn));
   columns.duration_s.push_back(cdr.duration_s);
   columns.rat.push_back(static_cast<std::uint8_t>(cdr.rat));
 }

@@ -1,5 +1,7 @@
 #include "records/radio_event.hpp"
 
+#include "records/plmn_column.hpp"
+
 namespace wtr::records {
 
 RadioEvent make_radio_event(const signaling::SignalingTransaction& txn,
@@ -27,8 +29,8 @@ void bin_append(RadioColumns& columns, io::TraceDict& dict,
                 const signaling::SignalingTransaction& txn, bool data_context) {
   columns.device.push_back(txn.device);
   columns.time.push_back(txn.time);
-  columns.sim_plmn.push_back(dict.intern(txn.sim_plmn.to_string()));
-  columns.visited_plmn.push_back(dict.intern(txn.visited_plmn.to_string()));
+  columns.sim_plmn.push_back(intern_plmn(dict, txn.sim_plmn));
+  columns.visited_plmn.push_back(intern_plmn(dict, txn.visited_plmn));
   columns.procedure.push_back(static_cast<std::uint8_t>(txn.procedure));
   columns.result.push_back(static_cast<std::uint8_t>(txn.result));
   columns.rat.push_back(static_cast<std::uint8_t>(txn.rat));

@@ -1,6 +1,7 @@
 #include "records/xdr.hpp"
 
 #include "io/csv.hpp"
+#include "records/plmn_column.hpp"
 
 namespace wtr::records {
 
@@ -56,8 +57,8 @@ void XdrColumns::clear() {
 void bin_append(XdrColumns& columns, io::TraceDict& dict, const Xdr& xdr) {
   columns.device.push_back(xdr.device);
   columns.time.push_back(xdr.time);
-  columns.sim_plmn.push_back(dict.intern(xdr.sim_plmn.to_string()));
-  columns.visited_plmn.push_back(dict.intern(xdr.visited_plmn.to_string()));
+  columns.sim_plmn.push_back(intern_plmn(dict, xdr.sim_plmn));
+  columns.visited_plmn.push_back(intern_plmn(dict, xdr.visited_plmn));
   columns.bytes_up.push_back(xdr.bytes_up);
   columns.bytes_down.push_back(xdr.bytes_down);
   columns.apn.push_back(dict.intern(xdr.apn));

@@ -1,8 +1,10 @@
 #pragma once
 
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the integrity
-// check guarding checkpoint snapshots. Table-driven, one table shared
-// process-wide; no dependency beyond the standard library.
+// check guarding checkpoint snapshots and WTRTRC1 trace blocks. Computed
+// slicing-by-8 (eight compile-time tables, eight input bytes per step, a
+// bytewise tail); the values are those of the classic one-table bytewise
+// CRC, seed chaining included. No dependency beyond the standard library.
 
 #include <cstddef>
 #include <cstdint>

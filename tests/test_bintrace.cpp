@@ -12,8 +12,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "ckpt/file_sink.hpp"
 #include "core/trace_replay.hpp"
@@ -643,6 +645,185 @@ TEST(BinaryTraceReplay, EmbeddedNewlineApnSurvivesCsvReplay) {
   core::replay_xdr_trace(bin_in, bin_capture);
   ASSERT_EQ(bin_capture.xdrs.size(), 1u);
   EXPECT_EQ(bin_capture.xdrs.front().apn, "weird\nnewline.gprs");
+}
+
+
+TEST(BinaryTraceDict, KeyedInternMatchesStringIntern) {
+  // A keyed miss goes through the string table: keyed and plain entries for
+  // the same text share one index, and render() runs once per key.
+  TraceDict dict;
+  int renders = 0;
+  auto render = [&renders](std::string text) {
+    return [&renders, text] {
+      ++renders;
+      return text;
+    };
+  };
+  EXPECT_EQ(dict.intern("214-07"), 0u);
+  EXPECT_EQ(dict.intern(7, render("214-07")), 0u);
+  EXPECT_EQ(dict.intern(9, render("310-410")), 1u);
+  EXPECT_EQ(dict.intern(9, render("unused")), 1u);
+  EXPECT_EQ(dict.intern("310-410"), 1u);
+  EXPECT_EQ(renders, 2);
+  ASSERT_EQ(dict.size(), 2u);
+
+  // clear() forgets keys too: the next block renders afresh.
+  dict.clear();
+  EXPECT_EQ(dict.intern(9, render("310-410")), 0u);
+  EXPECT_EQ(renders, 3);
+  EXPECT_EQ(dict.strings().front(), "310-410");
+}
+
+// --- Golden bytes across commits --------------------------------------------
+// Every other byte-identity check compares two runs of the same build, so a
+// change to dictionary order, column layout or framing that still round-trips
+// would go unnoticed. These pin the exact bytes: length plus an FNV-1a-64 of
+// them (not CRC-32: the digest must not share code with the bytes it pins,
+// which embed CRC-32 values). A legitimate format change must update the
+// pinned values on purpose.
+
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(BinaryTraceGolden, StreamBytesArePinned) {
+  std::string bytes;
+  BinaryTraceWriter::Options options;
+  options.block_records = 3;
+  BinaryTraceWriter writer{[&bytes](std::string_view b) { bytes.append(b); },
+                           options};
+
+  const cellnet::Plmn es07{214, 7, 2};   // "214-07"
+  const cellnet::Plmn es007{214, 7, 3};  // "214-007": same digits, wider MNC
+  const cellnet::Plmn uk{234, 15, 2};
+  const cellnet::Plmn us{310, 410, 3};
+  // Not valid PLMNs, and equal under Plmn::key(): "001-00" vs "000-1024".
+  const cellnet::Plmn odd_a{1, 0, 2};
+  const cellnet::Plmn odd_b{0, 1024, 2};
+
+  auto add_signaling = [&](std::uint64_t device, stats::SimTime time,
+                           cellnet::Plmn sim, cellnet::Plmn visited) {
+    signaling::SignalingTransaction txn;
+    txn.device = device;
+    txn.time = time;
+    txn.sim_plmn = sim;
+    txn.visited_plmn = visited;
+    txn.procedure = static_cast<signaling::Procedure>(device % 3);
+    txn.result = static_cast<signaling::ResultCode>(device % 2);
+    txn.rat = static_cast<cellnet::Rat>(device % 3);
+    txn.sector = static_cast<cellnet::SectorId>(1000 + device);
+    txn.tac = static_cast<cellnet::Tac>(35'000'000 + device);
+    writer.add_signaling(txn, device % 2 == 0);
+  };
+  auto add_cdr = [&](std::uint64_t device, stats::SimTime time, cellnet::Plmn sim,
+                     cellnet::Plmn visited) {
+    records::Cdr c;
+    c.device = device;
+    c.time = time;
+    c.sim_plmn = sim;
+    c.visited_plmn = visited;
+    c.duration_s = 12.5 * static_cast<double>(device);
+    c.rat = cellnet::Rat::kThreeG;
+    writer.add_cdr(c);
+  };
+  auto add_xdr = [&](std::uint64_t device, stats::SimTime time, cellnet::Plmn sim,
+                     cellnet::Plmn visited, std::string apn) {
+    records::Xdr x;
+    x.device = device;
+    x.time = time;
+    x.sim_plmn = sim;
+    x.visited_plmn = visited;
+    x.bytes_up = 100 * device;
+    x.bytes_down = 7 * device;
+    x.apn = std::move(apn);
+    x.rat = cellnet::Rat::kFourG;
+    writer.add_xdr(x);
+  };
+  auto add_dwell = [&](std::uint64_t device, std::int32_t day, cellnet::Plmn visited) {
+    writer.add_dwell(device, day, visited,
+                     cellnet::GeoPoint{40.0 + static_cast<double>(device), -3.5},
+                     3600.0 + static_cast<double>(device));
+  };
+
+  // Two full blocks per family (block_records = 3) with the same PLMNs, so
+  // every PLMN repeats across a block boundary.
+  for (std::uint64_t i = 1; i <= 6; ++i) {
+    const auto t = static_cast<stats::SimTime>(60 * i);
+    add_signaling(i, t, es07, i % 2 == 0 ? es007 : uk);
+    add_cdr(i, t, i % 3 == 0 ? es007 : es07, uk);
+    add_dwell(i, static_cast<std::int32_t>(i / 2), i % 2 == 0 ? es007 : es07);
+  }
+  // xDR: an APN equal to a PLMN rendering before that PLMN shows up as a
+  // PLMN ("214-007"), one after ("214-07"), and an empty APN.
+  add_xdr(1, 10, uk, us, "214-007");
+  add_xdr(2, 20, es07, es007, "214-07");
+  add_xdr(3, 30, es007, uk, "");
+  add_xdr(4, 40, es007, es07, "m2m.example.gprs");
+  add_xdr(5, 50, us, us, "");
+  // Invalid PLMNs that collide under Plmn::key() keep separate entries.
+  add_signaling(7, 420, odd_a, odd_b);
+  add_signaling(8, 480, odd_b, odd_a);
+  // Every family now holds a partial block; flush them mid-block.
+  writer.flush_blocks();
+
+  // Checkpoint, write past it (some blocks reach the output, some stay
+  // buffered), then roll back the way BinaryTraceFileSink does on resume.
+  const std::size_t checkpoint_offset = bytes.size();
+  const TraceTotals checkpoint_totals = writer.totals();
+  for (std::uint64_t i = 20; i < 24; ++i) {
+    add_signaling(i, static_cast<stats::SimTime>(60 * i), us, us);
+    add_cdr(i, static_cast<stats::SimTime>(60 * i), us, es007);
+  }
+  add_xdr(20, 1200, us, us, "lost.gprs");
+  add_dwell(20, 9, us);
+  bytes.resize(checkpoint_offset);
+  writer.restore(checkpoint_totals);
+
+  // After the restore the dropped PLMNs come back in a different order, so a
+  // dictionary surviving the restore would misnumber them.
+  for (std::uint64_t i = 30; i < 35; ++i) {
+    const auto t = static_cast<stats::SimTime>(60 * i);
+    add_signaling(i, t, uk, i % 2 == 0 ? us : es07);
+    add_cdr(i, t, es007, i % 2 == 0 ? us : uk);
+    add_xdr(i, t, us, uk, i % 2 == 0 ? "310-410" : "m2m.example.gprs");
+    add_dwell(i, 12, i % 2 == 0 ? us : uk);
+  }
+  writer.finish();
+
+  std::istringstream in{bytes};
+  CaptureSink capture;
+  const auto stats = BinaryTraceReader{in}.replay(capture);
+  EXPECT_EQ(stats.records, 13u + 11u + 10u + 11u);  // signaling, cdr, xdr, dwell
+  EXPECT_EQ(stats.bad_fields, 2u);  // the two rows with invalid PLMNs
+
+  EXPECT_EQ(bytes.size(), 1319u);
+  EXPECT_EQ(fnv1a64(bytes), 0xccca48ff8753f196ull);
+}
+
+TEST(BinaryTraceGolden, SnapshotFileBytesArePinned) {
+  namespace fs = std::filesystem;
+  const auto path = (fs::temp_directory_path() / "wtr_test_golden_snapshot.bin").string();
+  // 4099 bytes: not a multiple of 8, so a word-at-a-time CRC also runs its
+  // bytewise tail.
+  std::string payload(4099, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>((i * 131u + (i >> 7)) & 0xFFu);
+  }
+  ckpt::write_snapshot_atomic(path, payload);
+  std::ifstream file{path, std::ios::binary};
+  const std::string bytes{std::istreambuf_iterator<char>(file),
+                          std::istreambuf_iterator<char>()};
+  file.close();
+  EXPECT_EQ(ckpt::read_snapshot(path), payload);
+  fs::remove(path);
+
+  EXPECT_EQ(bytes.size(), 4139u);
+  EXPECT_EQ(fnv1a64(bytes), 0xf51a14b9362f9c9eull);
 }
 
 }  // namespace
