@@ -24,7 +24,8 @@ int main() {
   io::Table table{{"visited", "distance (km)", "HR RTT (ms)", "LBO RTT (ms)",
                    "IHBO RTT (ms)", "IHBO egress"}};
   for (const auto* iso : {"PT", "GB", "DE", "TR", "US", "BR", "IN", "JP", "AU"}) {
-    const auto visited = world.operators().mnos_in_country(iso).front();
+    const auto visited =
+        world.operators().mnos_in_country(cellnet::require_country_id(iso)).front();
     const auto hr = model.data_path(es, visited, topology::BreakoutType::kHomeRouted);
     const auto lbo = model.data_path(es, visited, topology::BreakoutType::kLocalBreakout);
     const auto ihbo =
@@ -36,7 +37,7 @@ int main() {
   std::cout << table.render();
 
   // The headline example and the structural claims.
-  const auto au = world.operators().mnos_in_country("AU").front();
+  const auto au = world.operators().mnos_in_country(cellnet::require_country_id("AU")).front();
   const auto hr_au = model.data_path(es, au, topology::BreakoutType::kHomeRouted);
   const auto lbo_au = model.data_path(es, au, topology::BreakoutType::kLocalBreakout);
   io::Table claims{{"claim", "holds", "measured"}};
@@ -46,7 +47,8 @@ int main() {
                       io::format_fixed(lbo_au.rtt_ms, 0) + "ms"});
   bool ordered = true;
   for (const auto* iso : {"GB", "US", "AU", "JP"}) {
-    const auto visited = world.operators().mnos_in_country(iso).front();
+    const auto visited =
+        world.operators().mnos_in_country(cellnet::require_country_id(iso)).front();
     const auto hr = model.data_path(es, visited, topology::BreakoutType::kHomeRouted);
     const auto lbo = model.data_path(es, visited, topology::BreakoutType::kLocalBreakout);
     const auto ihbo =
@@ -58,7 +60,7 @@ int main() {
   claims.add_row({"LBO <= IHBO <= HR everywhere sampled", ordered ? "yes" : "NO", "-"});
 
   // Effective path for the default (EU) configuration is HR, §2.1.
-  const auto gb = world.operators().mnos_in_country("GB").front();
+  const auto gb = world.operators().mnos_in_country(cellnet::require_country_id("GB")).front();
   const auto effective = model.effective_data_path(es, gb);
   claims.add_row({"intra-EU default is home-routed",
                   effective && effective->breakout == topology::BreakoutType::kHomeRouted

@@ -12,8 +12,10 @@
 #     skewed by parallel load.
 #  2. Thread-sanitizer gate — a second sanitizer tree (TSan cannot be
 #     combined with ASan) building the sharded-engine determinism suite and
-#     running it under TSan: the shard loops run on real threads there, so
-#     any data race in the parallel engine fails the gate. The storm lane
+#     the golden scenario suite and running both under TSan: the shard loops
+#     run on real threads there, so any data race in the parallel engine —
+#     or on the world tables every shard reads (per-country operator index,
+#     steering preferences) — fails the gate. The storm lane
 #     rides this tree: the closed-loop congestion suite (shard-private
 #     ledgers merging at engine barriers) runs under TSan too, then the
 #     ASan tree drives kill injection through an overload window
@@ -75,10 +77,14 @@ cmake -B "$tsan_dir" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build "$tsan_dir" -j "$(nproc)" --target test_parallel_engine test_congestion
+cmake --build "$tsan_dir" -j "$(nproc)" --target test_parallel_engine test_congestion \
+  test_scenario_determinism
 
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_parallel_engine"
-echo "check.sh: sharded engine race-free under TSan"
+# Golden scenario bytes (threads=1 and threads=4 pin the same value) with
+# shard threads reading the shared per-country index and steering tables.
+TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_scenario_determinism"
+echo "check.sh: sharded engine race-free under TSan (parallel engine + golden scenarios)"
 
 # --- Storm lane -------------------------------------------------------------
 # The congestion model's shard-private attempt ledgers merge on the engine's

@@ -1,7 +1,6 @@
 #include "cellnet/apn.hpp"
 
 #include <cctype>
-#include <cstdio>
 
 namespace wtr::cellnet {
 
@@ -12,15 +11,33 @@ std::string ascii_lower(std::string_view text) {
   return out;
 }
 
+namespace {
+// Decimal digits of `value`, zero-padded to at least three ("%03u").
+void append_padded3(std::string& out, unsigned value) {
+  char digits[5];  // a uint16_t has at most five
+  int count = 0;
+  do {
+    digits[count++] = static_cast<char>('0' + value % 10);
+    value /= 10;
+  } while (value != 0);
+  while (count < 3) digits[count++] = '0';
+  while (count > 0) out.push_back(digits[--count]);
+}
+}  // namespace
+
 std::string Apn::to_string() const {
   if (!operator_id_) return network_id_;
-  char suffix[32];
-  std::snprintf(suffix, sizeof(suffix), ".mnc%0*u.mcc%03u.gprs",
-                static_cast<int>(operator_id_->mnc_digits() == 3 ? 3 : 3),
-                operator_id_->mnc(), operator_id_->mcc());
   // Note: 3GPP TS 23.003 renders MNC with three digits in the operator
   // identifier (zero-padded), regardless of the 2-digit wire form.
-  return network_id_ + suffix;
+  std::string out;
+  out.reserve(network_id_.size() + 23);  // ".mnc" + 5 + ".mcc" + 5 + ".gprs"
+  out += network_id_;
+  out += ".mnc";
+  append_padded3(out, operator_id_->mnc());
+  out += ".mcc";
+  append_padded3(out, operator_id_->mcc());
+  out += ".gprs";
+  return out;
 }
 
 namespace {

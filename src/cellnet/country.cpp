@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
+#include <stdexcept>
 
 namespace wtr::cellnet {
 
@@ -97,12 +99,31 @@ constexpr std::array<CountryInfo, 72> kCountries{{
 
 std::span<const CountryInfo> all_countries() noexcept { return kCountries; }
 
-std::optional<CountryInfo> country_by_iso(std::string_view iso) noexcept {
+std::optional<CountryId> country_id(std::string_view iso) noexcept {
   const auto it = std::lower_bound(
       kCountries.begin(), kCountries.end(), iso,
       [](const CountryInfo& info, std::string_view key) { return info.iso < key; });
-  if (it != kCountries.end() && it->iso == iso) return *it;
-  return std::nullopt;
+  if (it == kCountries.end() || it->iso != iso) return std::nullopt;
+  return static_cast<CountryId>(it - kCountries.begin());
+}
+
+CountryId require_country_id(std::string_view iso) {
+  const auto id = country_id(iso);
+  if (!id) {
+    throw std::invalid_argument("unknown ISO country code \"" + std::string(iso) + "\"");
+  }
+  return *id;
+}
+
+const CountryInfo& country_at(CountryId id) noexcept {
+  assert(id < kCountries.size());
+  return kCountries[id];
+}
+
+std::optional<CountryInfo> country_by_iso(std::string_view iso) noexcept {
+  const auto id = country_id(iso);
+  if (!id) return std::nullopt;
+  return country_at(*id);
 }
 
 std::optional<CountryInfo> country_by_mcc(std::uint16_t mcc) noexcept {

@@ -40,6 +40,23 @@ struct CountryInfo {
 /// Full static table (sorted by ISO code).
 [[nodiscard]] std::span<const CountryInfo> all_countries() noexcept;
 
+/// A country inside the simulator: its index in all_countries(). Devices,
+/// corridors, operators and steering keys carry ids; ISO text appears only
+/// at the edges (config, snapshots, path-model egress, reports).
+using CountryId = std::uint16_t;
+inline constexpr CountryId kInvalidCountry = ~CountryId{0};
+
+/// Id of an ISO alpha-2 code ("ES"); nullopt when unknown. The one ISO
+/// lookup: every other by-code query goes through it.
+[[nodiscard]] std::optional<CountryId> country_id(std::string_view iso) noexcept;
+
+/// country_id() for build-time callers: throws std::invalid_argument naming
+/// the code when it is unknown, instead of placing devices nowhere.
+[[nodiscard]] CountryId require_country_id(std::string_view iso);
+
+/// Table row of a valid id.
+[[nodiscard]] const CountryInfo& country_at(CountryId id) noexcept;
+
 /// Lookup by ISO alpha-2 code ("ES"); nullopt when unknown.
 [[nodiscard]] std::optional<CountryInfo> country_by_iso(std::string_view iso) noexcept;
 

@@ -6,9 +6,9 @@
 // this per-device dispersion), and physical location state.
 
 #include <cstdint>
-#include <string>
 
 #include "cellnet/apn.hpp"
+#include "cellnet/country.hpp"
 #include "cellnet/imei.hpp"
 #include "cellnet/imsi.hpp"
 #include "devices/behavior_profile.hpp"
@@ -22,6 +22,11 @@ struct Device {
   cellnet::Imsi imsi{};
   cellnet::Imei imei{};
   topology::OperatorId home_operator = topology::kInvalidOperator;
+  // Physical placement: the country the device currently sits in and its
+  // base (deployment) country, for mobility models that orbit a home point.
+  // Positions are below; the ids sit here to fill the alignment gap.
+  cellnet::CountryId current_country = cellnet::kInvalidCountry;
+  cellnet::CountryId home_country = cellnet::kInvalidCountry;
 
   BehaviorProfile profile{};
   cellnet::RatMask capability{};  // hardware bands (from the TAC catalog)
@@ -43,13 +48,10 @@ struct Device {
   std::int32_t arrival_day = 0;
   std::int32_t departure_day = 1;  // exclusive
 
-  // Physical placement: ISO country the device currently sits in, and its
-  // position in meters east/north of that country's anchor.
-  std::string current_country;
+  // Position in meters east/north of the current country's anchor, and the
+  // base position in the home country.
   double east_m = 0.0;
   double north_m = 0.0;
-  // Base (deployment) location, for mobility models that orbit a home point.
-  std::string home_country;
   double home_east_m = 0.0;
   double home_north_m = 0.0;
 

@@ -25,6 +25,7 @@ cellnet::Imsi FleetBuilder::allocate_imsi(const FleetSpec& spec, std::size_t ind
 std::vector<Device> FleetBuilder::build(const FleetSpec& spec) {
   assert(spec.home_operator != topology::kInvalidOperator);
   assert(spec.horizon_days > 0);
+  const cellnet::CountryId deployment = cellnet::require_country_id(spec.deployment_iso);
   std::vector<Device> fleet;
   fleet.reserve(spec.count);
 
@@ -128,8 +129,8 @@ std::vector<Device> FleetBuilder::build(const FleetSpec& spec) {
     }
 
     // Placement: scattered around the deployment country's anchor.
-    device.home_country = spec.deployment_iso;
-    device.current_country = spec.deployment_iso;
+    device.home_country = deployment;
+    device.current_country = deployment;
     const double angle = rng_.uniform(0.0, 6.283185307179586);
     const double radius = spec.deployment_spread_m * std::sqrt(rng_.uniform());
     device.home_east_m = radius * std::cos(angle);

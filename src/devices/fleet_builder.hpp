@@ -63,6 +63,8 @@ class FleetBuilder {
 
   /// Build a fleet; appends nothing anywhere — returns the devices. Device
   /// ids and IMSIs are unique across all build() calls on this builder.
+  /// Throws std::invalid_argument when `spec.deployment_iso` is not a known
+  /// country code.
   [[nodiscard]] std::vector<Device> build(const FleetSpec& spec);
 
   [[nodiscard]] std::uint64_t devices_built() const noexcept { return next_device_; }

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "cellnet/country.hpp"
 #include "stats/distributions.hpp"
@@ -132,9 +133,8 @@ DeviceAgent::Serving DeviceAgent::locate(const AgentContext& ctx,
     }
   } else {
     // Coverage disabled: approximate position from the country anchor.
-    const auto country = cellnet::country_by_iso(device_->current_country);
-    const cellnet::GeoPoint anchor =
-        country ? cellnet::GeoPoint{country->lat, country->lon} : cellnet::GeoPoint{};
+    const auto& country = cellnet::country_at(device_->current_country);
+    const cellnet::GeoPoint anchor{country.lat, country.lon};
     serving.sector = 0;
     serving.location = cellnet::offset_m(anchor, device_->east_m, device_->north_m);
   }
@@ -437,7 +437,7 @@ void DeviceAgent::finalize(SimTime now, const AgentContext& ctx) {
 
 void DeviceAgent::save_state(util::BinWriter& out) const {
   out.u64(device_->id);
-  out.str(device_->current_country);
+  out.str(cellnet::country_at(device_->current_country).iso);
   out.f64(device_->east_m);
   out.f64(device_->north_m);
   for (const auto word : rng_.state()) out.u64(word);
@@ -469,7 +469,13 @@ void DeviceAgent::restore_state(util::BinReader& in) {
         "DeviceAgent::restore_state: snapshot device id does not match the "
         "rebuilt fleet (different scenario seed or composition?)");
   }
-  device_->current_country = in.str();
+  const std::string iso = in.str();
+  const auto country = cellnet::country_id(iso);
+  if (!country) {
+    throw std::runtime_error("DeviceAgent::restore_state: unknown country code \"" + iso +
+                             "\" in snapshot");
+  }
+  device_->current_country = *country;
   device_->east_m = in.f64();
   device_->north_m = in.f64();
   std::array<std::uint64_t, 4> rng_state{};
@@ -509,7 +515,7 @@ std::optional<SimTime> DeviceAgent::on_wake(SimTime now, const AgentContext& ctx
   // Dwell at the previous location accrues until this wake.
   flush_dwell(ctx, now);
 
-  const std::string country_before = device_->current_country;
+  const cellnet::CountryId country_before = device_->current_country;
   advance_position(*device_, static_cast<double>(now - last_wake_), options_->corridor,
                    rng_);
   last_wake_ = now;

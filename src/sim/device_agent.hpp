@@ -156,7 +156,8 @@ class DeviceAgent {
   /// serving cell, dwell bookkeeping). The immutable identity/behaviour
   /// fields are rebuilt deterministically by the scenario; restore_state
   /// verifies the device id matches and throws std::runtime_error when the
-  /// snapshot belongs to a differently composed fleet.
+  /// snapshot belongs to a differently composed fleet. The current country
+  /// is stored as ISO text; an unknown or empty code throws the same error.
   void save_state(util::BinWriter& out) const;
   void restore_state(util::BinReader& in);
 

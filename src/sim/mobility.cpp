@@ -20,6 +20,15 @@ void random_waypoint(devices::Device& device, double cx, double cy, double radiu
 
 }  // namespace
 
+TravelCorridor make_corridor(std::initializer_list<std::string_view> isos) {
+  TravelCorridor corridor;
+  corridor.reserve(isos.size());
+  for (const std::string_view iso : isos) {
+    corridor.push_back(cellnet::require_country_id(iso));
+  }
+  return corridor;
+}
+
 void advance_position(devices::Device& device, double dt_s, const TravelCorridor& corridor,
                       stats::Rng& rng) {
   if (dt_s <= 0.0) return;
@@ -53,7 +62,7 @@ void advance_position(devices::Device& device, double dt_s, const TravelCorridor
       // destination country's anchor.
       const double p_trip = 1.0 - std::exp(-profile.p_cross_country_trip * dt_days);
       if (!corridor.empty() && rng.bernoulli(p_trip)) {
-        const auto& destination = corridor[rng.below(corridor.size())];
+        const cellnet::CountryId destination = corridor[rng.below(corridor.size())];
         if (destination != device.current_country) {
           device.current_country = destination;
           random_waypoint(device, 0.0, 0.0, profile.commute_radius_m, rng);

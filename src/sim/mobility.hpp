@@ -5,9 +5,11 @@
 // reselection, human carriers moving inside a metro area, and long-haul
 // devices (cars, trackers) that cross regions and occasionally countries.
 
-#include <string>
+#include <initializer_list>
+#include <string_view>
 #include <vector>
 
+#include "cellnet/country.hpp"
 #include "devices/device.hpp"
 #include "stats/rng.hpp"
 
@@ -16,7 +18,11 @@ namespace wtr::sim {
 /// Countries a long-haul device may hop to (a travel corridor); usually the
 /// deployment country plus its neighbours. An empty corridor disables
 /// cross-country trips regardless of the profile.
-using TravelCorridor = std::vector<std::string>;
+using TravelCorridor = std::vector<cellnet::CountryId>;
+
+/// Corridor over ISO codes, in order. Throws std::invalid_argument naming
+/// the first unknown code.
+[[nodiscard]] TravelCorridor make_corridor(std::initializer_list<std::string_view> isos);
 
 /// Advance a device's position by dt seconds. Mutates current position and
 /// (for long-haul devices that cross a border) current_country.

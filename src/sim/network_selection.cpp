@@ -82,20 +82,24 @@ std::vector<NetworkChoice> NetworkSelector::scan(const devices::Device& device,
                                                  stats::Rng& rng) const {
   const auto& operators = world_->operators();
   const auto& home_op = operators.get(device.home_operator);
+  const auto local = operators.mnos_in_country(device.current_country);
   std::vector<NetworkChoice> out;
-  std::vector<bool> listed(operators.size(), false);
+  out.reserve(local.size());  // every choice is one of the country's MNOs
 
   auto push = [&](topology::OperatorId visited, bool is_home) {
-    if (listed[visited]) return;
+    // A handful of entries at most: a linear look-up, no per-operator table.
+    const auto listed = std::find_if(out.begin(), out.end(), [&](const NetworkChoice& c) {
+      return c.visited == visited;
+    });
+    if (listed != out.end()) return;
     if (exclude && *exclude == visited) return;
     const auto rat = radio_rat(device, visited);
     if (!rat) return;  // no radio overlap at all: the device cannot even try
-    listed[visited] = true;
     out.push_back(NetworkChoice{visited, *rat, is_home});
   };
 
   // Home radio network first when in the home country.
-  if (device.current_country == home_op.country_iso) {
+  if (device.current_country == home_op.country) {
     push(operators.radio_network_of(device.home_operator), true);
   }
 
@@ -104,17 +108,18 @@ std::vector<NetworkChoice> NetworkSelector::scan(const devices::Device& device,
   auto candidates = world_->steering().candidates(
       operators, world_->bilateral(), world_->hubs(), device.home_operator,
       device.current_country);
+  std::vector<double> weights;
+  weights.reserve(candidates.size());
+  for (const auto& candidate : candidates) weights.push_back(candidate.weight);
   while (!candidates.empty()) {
-    std::vector<double> weights;
-    weights.reserve(candidates.size());
-    for (const auto& candidate : candidates) weights.push_back(candidate.weight);
     const std::size_t i = rng.weighted_index(weights);
     push(candidates[i].visited, false);
     candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(i));
+    weights.erase(weights.begin() + static_cast<std::ptrdiff_t>(i));
   }
 
   // Remaining local MNOs (no commercial path — attempts will be rejected).
-  auto rest = operators.mnos_in_country(device.current_country);
+  std::vector<topology::OperatorId> rest(local.begin(), local.end());
   rng.shuffle(rest);
   for (topology::OperatorId visited : rest) push(visited, false);
 
@@ -128,7 +133,7 @@ std::optional<NetworkChoice> NetworkSelector::choose(
   const auto& home_op = operators.get(device.home_operator);
 
   // Native case: at home, camp on the home radio network.
-  if (device.current_country == home_op.country_iso) {
+  if (device.current_country == home_op.country) {
     const topology::OperatorId radio = operators.radio_network_of(device.home_operator);
     if (!exclude || *exclude != radio) {
       if (const auto rat = best_rat(device, radio)) {

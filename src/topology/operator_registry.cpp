@@ -5,18 +5,20 @@
 namespace wtr::topology {
 
 OperatorId OperatorRegistry::add_mno(cellnet::Plmn plmn, std::string name,
-                                     std::string country_iso,
+                                     cellnet::CountryId country,
                                      cellnet::RatMask deployed_rats) {
   assert(plmn.valid());
   assert(!by_plmn_.contains(plmn));
+  assert(country < mnos_by_country_.size());
   Operator op;
   op.id = static_cast<OperatorId>(operators_.size());
   op.plmn = plmn;
   op.name = std::move(name);
-  op.country_iso = std::move(country_iso);
+  op.country = country;
   op.kind = OperatorKind::kMno;
   op.deployed_rats = deployed_rats;
   by_plmn_.emplace(plmn, op.id);
+  mnos_by_country_[country].push_back(op.id);
   operators_.push_back(std::move(op));
   return operators_.back().id;
 }
@@ -31,7 +33,7 @@ OperatorId OperatorRegistry::add_mvno(cellnet::Plmn plmn, std::string name,
   op.id = static_cast<OperatorId>(operators_.size());
   op.plmn = plmn;
   op.name = std::move(name);
-  op.country_iso = host_op.country_iso;
+  op.country = host_op.country;
   op.kind = OperatorKind::kMvno;
   op.host = host;
   op.deployed_rats = host_op.deployed_rats;
@@ -51,12 +53,10 @@ std::optional<OperatorId> OperatorRegistry::by_plmn(cellnet::Plmn plmn) const {
   return it->second;
 }
 
-std::vector<OperatorId> OperatorRegistry::mnos_in_country(std::string_view iso) const {
-  std::vector<OperatorId> out;
-  for (const auto& op : operators_) {
-    if (op.kind == OperatorKind::kMno && op.country_iso == iso) out.push_back(op.id);
-  }
-  return out;
+std::span<const OperatorId> OperatorRegistry::mnos_in_country(
+    cellnet::CountryId country) const noexcept {
+  assert(country < mnos_by_country_.size());
+  return mnos_by_country_[country];
 }
 
 OperatorId OperatorRegistry::radio_network_of(OperatorId id) const {

@@ -7,11 +7,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "cellnet/country.hpp"
 #include "cellnet/plmn.hpp"
 #include "cellnet/rat.hpp"
 
@@ -26,7 +27,7 @@ struct Operator {
   OperatorId id = kInvalidOperator;
   cellnet::Plmn plmn{};
   std::string name;
-  std::string country_iso;  // ISO alpha-2 of the home country
+  cellnet::CountryId country = cellnet::kInvalidCountry;  // home country
   OperatorKind kind = OperatorKind::kMno;
   OperatorId host = kInvalidOperator;  // hosting MNO, for MVNOs
   cellnet::RatMask deployed_rats{};    // technologies on the radio network
@@ -35,7 +36,7 @@ struct Operator {
 class OperatorRegistry {
  public:
   /// Register a facilities-based MNO. PLMN must be unique.
-  OperatorId add_mno(cellnet::Plmn plmn, std::string name, std::string country_iso,
+  OperatorId add_mno(cellnet::Plmn plmn, std::string name, cellnet::CountryId country,
                      cellnet::RatMask deployed_rats);
 
   /// Register an MVNO hosted on an existing MNO (same country; inherits the
@@ -47,8 +48,10 @@ class OperatorRegistry {
   [[nodiscard]] std::size_t size() const noexcept { return operators_.size(); }
   [[nodiscard]] const std::vector<Operator>& all() const noexcept { return operators_; }
 
-  /// MNOs (not MVNOs) whose home country matches.
-  [[nodiscard]] std::vector<OperatorId> mnos_in_country(std::string_view iso) const;
+  /// MNOs (not MVNOs) whose home country matches, in id order. The view
+  /// stays valid until the next add_mno().
+  [[nodiscard]] std::span<const OperatorId> mnos_in_country(
+      cellnet::CountryId country) const noexcept;
 
   /// The MNO whose radio network an operator's customers use at home:
   /// itself for an MNO, the host for an MVNO.
@@ -57,6 +60,9 @@ class OperatorRegistry {
  private:
   std::vector<Operator> operators_;
   std::unordered_map<cellnet::Plmn, OperatorId> by_plmn_;
+  // Per-country MNO index, appended to as MNOs are added (so id order).
+  std::vector<std::vector<OperatorId>> mnos_by_country_ =
+      std::vector<std::vector<OperatorId>>(cellnet::all_countries().size());
 };
 
 }  // namespace wtr::topology

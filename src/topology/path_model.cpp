@@ -1,6 +1,5 @@
 #include "topology/path_model.hpp"
 
-#include <cassert>
 #include <limits>
 
 #include "cellnet/country.hpp"
@@ -11,10 +10,12 @@ PathModel::PathModel(const World& world, PathModelConfig config)
     : world_(&world), config_(config) {}
 
 cellnet::GeoPoint PathModel::anchor_of(OperatorId op) const {
-  const auto& iso = world_->operators().get(op).country_iso;
-  const auto country = cellnet::country_by_iso(iso);
-  assert(country.has_value());
-  return cellnet::GeoPoint{country->lat, country->lon};
+  const auto& country = cellnet::country_at(world_->operators().get(op).country);
+  return cellnet::GeoPoint{country.lat, country.lon};
+}
+
+std::string PathModel::iso_of(OperatorId op) const {
+  return std::string(cellnet::country_at(world_->operators().get(op).country).iso);
 }
 
 double PathModel::operator_distance_km(OperatorId a, OperatorId b) const {
@@ -34,12 +35,12 @@ DataPath PathModel::data_path(OperatorId home, OperatorId visited,
   switch (breakout) {
     case BreakoutType::kHomeRouted: {
       path.path_km = operator_distance_km(visited, home);
-      path.egress_iso = world_->operators().get(home).country_iso;
+      path.egress_iso = iso_of(home);
       break;
     }
     case BreakoutType::kLocalBreakout: {
       path.path_km = 0.0;
-      path.egress_iso = world_->operators().get(visited).country_iso;
+      path.egress_iso = iso_of(visited);
       break;
     }
     case BreakoutType::kIpxHubBreakout: {
@@ -47,23 +48,23 @@ DataPath PathModel::data_path(OperatorId home, OperatorId visited,
       // PoPs are modeled at member-country centroids.
       const auto visited_anchor = anchor_of(visited);
       double best_km = std::numeric_limits<double>::infinity();
-      std::string best_iso;
+      OperatorId best = kInvalidOperator;
       for (const HubId hub : world_->hubs().hubs_of(home)) {
         for (const OperatorId member : world_->hubs().get(hub).members) {
           const double km =
               cellnet::haversine_m(visited_anchor, anchor_of(member)) / 1000.0;
           if (km < best_km) {
             best_km = km;
-            best_iso = world_->operators().get(member).country_iso;
+            best = member;
           }
         }
       }
-      if (best_iso.empty()) {
+      if (best == kInvalidOperator) {
         // Hubless home operator: the only possible path is home-routed.
         return data_path(home, visited, BreakoutType::kHomeRouted);
       }
       path.path_km = best_km;
-      path.egress_iso = best_iso;
+      path.egress_iso = iso_of(best);
       break;
     }
   }

@@ -62,6 +62,7 @@ class PathModel {
 
  private:
   [[nodiscard]] cellnet::GeoPoint anchor_of(OperatorId op) const;
+  [[nodiscard]] std::string iso_of(OperatorId op) const;
   [[nodiscard]] double rtt_for_km(double one_way_km) const;
 
   const World* world_;

@@ -58,9 +58,10 @@ bool HubRegistry::is_member(HubId hub, OperatorId op) const {
   return std::find(it->second.begin(), it->second.end(), hub) != it->second.end();
 }
 
-std::vector<HubId> HubRegistry::hubs_of(OperatorId op) const {
+const std::vector<HubId>& HubRegistry::hubs_of(OperatorId op) const {
+  static const std::vector<HubId> kNoHubs;
   const auto it = memberships_.find(op);
-  return it == memberships_.end() ? std::vector<HubId>{} : it->second;
+  return it == memberships_.end() ? kNoHubs : it->second;
 }
 
 AgreementTerms HubRegistry::terms_of(HubId hub) const {
@@ -73,8 +74,8 @@ EffectiveRoaming HubRegistry::resolve(const RoamingAgreementGraph& bilateral,
   if (const auto direct = bilateral.find(home, visited)) {
     return EffectiveRoaming{RoamingPath::kDirect, *direct};
   }
-  const auto home_hubs = hubs_of(home);
-  const auto visited_hubs = hubs_of(visited);
+  const auto& home_hubs = hubs_of(home);
+  const auto& visited_hubs = hubs_of(visited);
   // Shared hub.
   for (HubId h : home_hubs) {
     if (std::find(visited_hubs.begin(), visited_hubs.end(), h) != visited_hubs.end()) {

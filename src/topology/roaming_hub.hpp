@@ -59,7 +59,8 @@ class HubRegistry {
   [[nodiscard]] const RoamingHub& get(HubId id) const;
   [[nodiscard]] std::size_t size() const noexcept { return hubs_.size(); }
   [[nodiscard]] bool is_member(HubId hub, OperatorId op) const;
-  [[nodiscard]] std::vector<HubId> hubs_of(OperatorId op) const;
+  /// Hubs an operator belongs to, in join order (empty when none).
+  [[nodiscard]] const std::vector<HubId>& hubs_of(OperatorId op) const;
 
   /// Resolve the effective roaming relation home → visited, considering the
   /// direct bilateral graph first (it can carry bespoke terms), then shared

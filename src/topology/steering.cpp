@@ -4,37 +4,30 @@
 
 namespace wtr::topology {
 
-std::string SteeringPolicy::override_key(OperatorId home, std::string_view country_iso) {
-  return std::to_string(home) + ":" + std::string(country_iso);
-}
-
-void SteeringPolicy::set_preference(OperatorId home, std::string country_iso,
+void SteeringPolicy::set_preference(OperatorId home, cellnet::CountryId country,
                                     std::vector<std::pair<OperatorId, double>> weights) {
-  auto& map = overrides_[override_key(home, country_iso)];
+  auto& map = overrides_[override_key(home, country)];
   for (const auto& [visited, weight] : weights) map[visited] = weight;
-}
-
-double SteeringPolicy::weight_for(OperatorId home, std::string_view country_iso,
-                                  OperatorId visited) const {
-  const auto it = overrides_.find(override_key(home, country_iso));
-  if (it == overrides_.end()) return 1.0;
-  const auto weight_it = it->second.find(visited);
-  return weight_it == it->second.end() ? 1.0 : weight_it->second;
 }
 
 std::vector<VisitedCandidate> SteeringPolicy::candidates(
     const OperatorRegistry& operators, const RoamingAgreementGraph& bilateral,
-    const HubRegistry& hubs, OperatorId home, std::string_view country_iso,
+    const HubRegistry& hubs, OperatorId home, cellnet::CountryId country,
     std::optional<cellnet::Rat> rat) const {
+  const auto overrides = overrides_.find(override_key(home, country));
+  const Weights* weights = overrides == overrides_.end() ? nullptr : &overrides->second;
   std::vector<VisitedCandidate> out;
-  for (OperatorId visited : operators.mnos_in_country(country_iso)) {
+  for (OperatorId visited : operators.mnos_in_country(country)) {
     if (visited == home) continue;
     const EffectiveRoaming roaming = hubs.resolve(bilateral, home, visited);
     if (roaming.path == RoamingPath::kNone) continue;
     if (rat && !roaming.terms.allowed_rats.has(*rat)) continue;
     VisitedCandidate candidate;
     candidate.visited = visited;
-    candidate.weight = weight_for(home, country_iso, visited);
+    if (weights) {
+      const auto weight = weights->find(visited);
+      if (weight != weights->end()) candidate.weight = weight->second;
+    }
     candidate.roaming = roaming;
     out.push_back(candidate);
   }
@@ -47,9 +40,9 @@ std::vector<VisitedCandidate> SteeringPolicy::candidates(
 
 std::optional<VisitedCandidate> SteeringPolicy::pick(
     const OperatorRegistry& operators, const RoamingAgreementGraph& bilateral,
-    const HubRegistry& hubs, OperatorId home, std::string_view country_iso,
+    const HubRegistry& hubs, OperatorId home, cellnet::CountryId country,
     std::optional<cellnet::Rat> rat, stats::Rng& rng) const {
-  const auto options = candidates(operators, bilateral, hubs, home, country_iso, rat);
+  const auto options = candidates(operators, bilateral, hubs, home, country, rat);
   if (options.empty()) return std::nullopt;
   std::vector<double> weights;
   weights.reserve(options.size());

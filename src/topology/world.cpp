@@ -41,7 +41,9 @@ World World::build(const WorldConfig& config) {
   // A few well-known PLMNs are pinned so traces carry recognizable codes:
   // the NL IoT provisioner is 204-04 (the paper's example APN decodes to
   // mnc004.mcc204) and the ES HMNO is 214-07.
-  for (const auto& country : cellnet::all_countries()) {
+  const auto countries = cellnet::all_countries();
+  for (std::size_t c = 0; c < countries.size(); ++c) {
+    const auto& country = countries[c];
     const bool sunset_2g = contains(config.two_g_sunset_isos, country.iso);
     const bool nbiot = contains(config.nbiot_isos, country.iso);
     for (std::uint32_t i = 0; i < config.mnos_per_country; ++i) {
@@ -51,25 +53,26 @@ World World::build(const WorldConfig& config) {
           std::string(country.iso) + "-MNO" + std::to_string(i + 1);
       auto rats = sunset_2g ? no_2g_rats() : full_rats();
       if (nbiot && i == 0) rats.set(cellnet::Rat::kNbIot);  // leading MNO only
-      world.operators_.add_mno(plmn, name, std::string(country.iso), rats);
+      world.operators_.add_mno(plmn, name, static_cast<cellnet::CountryId>(c), rats);
     }
   }
 
   // Pinned special operators (added on top of the per-country set).
+  using cellnet::require_country_id;
   world.well_known_.es_hmno = world.operators_.add_mno(
-      cellnet::Plmn{214, 7, 2}, "ES-GlobalIoT", "ES", full_rats());
+      cellnet::Plmn{214, 7, 2}, "ES-GlobalIoT", require_country_id("ES"), full_rats());
   world.well_known_.de_hmno = world.operators_.add_mno(
-      cellnet::Plmn{262, 12, 2}, "DE-GlobalIoT", "DE", full_rats());
+      cellnet::Plmn{262, 12, 2}, "DE-GlobalIoT", require_country_id("DE"), full_rats());
   world.well_known_.mx_hmno = world.operators_.add_mno(
-      cellnet::Plmn{334, 20, 2}, "MX-GlobalIoT", "MX", full_rats());
+      cellnet::Plmn{334, 20, 2}, "MX-GlobalIoT", require_country_id("MX"), full_rats());
   world.well_known_.ar_hmno = world.operators_.add_mno(
-      cellnet::Plmn{722, 34, 2}, "AR-GlobalIoT", "AR", full_rats());
+      cellnet::Plmn{722, 34, 2}, "AR-GlobalIoT", require_country_id("AR"), full_rats());
   world.well_known_.nl_iot_provisioner = world.operators_.add_mno(
-      cellnet::Plmn{204, 4, 2}, "NL-IoTProvisioner", "NL", full_rats());
+      cellnet::Plmn{204, 4, 2}, "NL-IoTProvisioner", require_country_id("NL"), full_rats());
 
   // The UK MNO under study is GB-MNO1; it hosts three MVNOs (the V:H label
   // population of §4.2 is about 33% of devices per day).
-  const auto uk_mnos = world.operators_.mnos_in_country("GB");
+  const auto uk_mnos = world.operators_.mnos_in_country(require_country_id("GB"));
   assert(!uk_mnos.empty());
   world.well_known_.uk_mno = uk_mnos.front();
   for (int v = 0; v < 3; ++v) {
@@ -94,7 +97,8 @@ World World::build(const WorldConfig& config) {
 
   for (const auto& op : world.operators_.all()) {
     if (op.kind != OperatorKind::kMno) continue;
-    const bool direct = contains(config.m2m_hub_direct_isos, op.country_iso);
+    const bool direct =
+        contains(config.m2m_hub_direct_isos, cellnet::country_at(op.country).iso);
     world.hubs_.add_member(direct ? world.well_known_.m2m_hub
                                   : world.well_known_.partner_hub,
                            op.id);
@@ -117,8 +121,7 @@ World World::build(const WorldConfig& config) {
   std::vector<OperatorId> eu_mnos;
   for (const auto& op : world.operators_.all()) {
     if (op.kind != OperatorKind::kMno) continue;
-    const auto country = cellnet::country_by_iso(op.country_iso);
-    if (country && country->region == cellnet::Region::kEurope) {
+    if (cellnet::country_at(op.country).region == cellnet::Region::kEurope) {
       eu_mnos.push_back(op.id);
     }
   }
@@ -126,7 +129,7 @@ World World::build(const WorldConfig& config) {
     for (std::size_t j = i + 1; j < eu_mnos.size(); ++j) {
       const auto& a = world.operators_.get(eu_mnos[i]);
       const auto& b = world.operators_.get(eu_mnos[j]);
-      if (a.country_iso == b.country_iso) continue;  // no national roaming here
+      if (a.country == b.country) continue;  // no national roaming here
       world.bilateral_.add_bilateral(a.id, b.id, eu_terms);
     }
   }
@@ -142,8 +145,8 @@ World World::build(const WorldConfig& config) {
   for (std::size_t i = 0; i < big_markets.size(); ++i) {
     for (std::size_t j = i + 1; j < big_markets.size(); ++j) {
       if (!rng.bernoulli(0.5)) continue;
-      const auto a = world.operators_.mnos_in_country(big_markets[i]);
-      const auto b = world.operators_.mnos_in_country(big_markets[j]);
+      const auto a = world.operators_.mnos_in_country(require_country_id(big_markets[i]));
+      const auto b = world.operators_.mnos_in_country(require_country_id(big_markets[j]));
       if (a.empty() || b.empty()) continue;
       world.bilateral_.add_bilateral(a.front(), b.front(), longhaul_terms);
     }
@@ -154,14 +157,14 @@ World World::build(const WorldConfig& config) {
   // to a handful of neighbours only — their hub terms stay, but scenario
   // steering keeps their fleets mostly at home.
   for (const auto& iso : {"GT", "CO", "CL"}) {
-    const auto partners = world.operators_.mnos_in_country(iso);
+    const auto partners = world.operators_.mnos_in_country(require_country_id(iso));
     if (!partners.empty()) {
       world.bilateral_.add_bilateral(world.well_known_.mx_hmno, partners.front(),
                                      longhaul_terms);
     }
   }
   for (const auto& iso : {"UY", "PY", "CL"}) {
-    const auto partners = world.operators_.mnos_in_country(iso);
+    const auto partners = world.operators_.mnos_in_country(require_country_id(iso));
     if (!partners.empty()) {
       world.bilateral_.add_bilateral(world.well_known_.ar_hmno, partners.front(),
                                      longhaul_terms);
@@ -172,9 +175,8 @@ World World::build(const WorldConfig& config) {
   if (config.build_coverage) {
     for (const auto& op : world.operators_.all()) {
       if (op.kind != OperatorKind::kMno) continue;
-      const auto country = cellnet::country_by_iso(op.country_iso);
-      assert(country.has_value());
-      const cellnet::GeoPoint anchor{country->lat, country->lon};
+      const auto& country = cellnet::country_at(op.country);
+      const cellnet::GeoPoint anchor{country.lat, country.lon};
       world.coverage_.build_grid(op, anchor, config.grid_plan,
                                  stats::mix64(config.seed, op.plmn.key()));
     }
@@ -183,14 +185,14 @@ World World::build(const WorldConfig& config) {
   // --- Steering: the platform prefers the cheapest partner per country;
   // modelled as a strong preference for the first MNO of each country for
   // the ES HMNO (it concentrates 75% of signaling on 10 VMNOs, §3.2).
-  for (const auto& country : cellnet::all_countries()) {
-    const auto mnos = world.operators_.mnos_in_country(country.iso);
+  for (std::size_t c = 0; c < countries.size(); ++c) {
+    const auto country = static_cast<cellnet::CountryId>(c);
+    const auto mnos = world.operators_.mnos_in_country(country);
     if (mnos.empty()) continue;
     std::vector<std::pair<OperatorId, double>> prefs;
     prefs.emplace_back(mnos.front(), 10.0);
     for (std::size_t i = 1; i < mnos.size(); ++i) prefs.emplace_back(mnos[i], 1.0);
-    world.steering_.set_preference(world.well_known_.es_hmno,
-                                   std::string(country.iso), prefs);
+    world.steering_.set_preference(world.well_known_.es_hmno, country, prefs);
   }
 
   return world;

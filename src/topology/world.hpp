@@ -70,11 +70,6 @@ class World {
     return hubs_.resolve(bilateral_, home, visited);
   }
 
-  /// Country ISO of an operator.
-  [[nodiscard]] const std::string& country_of(OperatorId id) const {
-    return operators_.get(id).country_iso;
-  }
-
  private:
   WorldConfig config_{};
   OperatorRegistry operators_;

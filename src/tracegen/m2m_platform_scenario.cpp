@@ -124,7 +124,7 @@ void M2MPlatformScenario::build_es_fleets() {
       sim::AgentOptions mobile_options = options;
       if (vertical == devices::Vertical::kConnectedCar ||
           vertical == devices::Vertical::kLogisticsTracker) {
-        mobile_options.corridor = {iso, "ES", "FR", "DE"};  // EU trips
+        mobile_options.corridor = sim::make_corridor({iso, "ES", "FR", "DE"});  // EU trips
       }
       add_fleet(spec, mobile_options);
     }
@@ -238,7 +238,8 @@ void M2MPlatformScenario::build_de_fleets() {
   sim::AgentOptions options;
   options.retry_rate_boost = 20.0;
   options.backoff = config_.backoff;
-  options.corridor = {"DE", "FR", "IT", "AT", "PL", "NL", "BE", "CZ", "CH"};
+  options.corridor =
+      sim::make_corridor({"DE", "FR", "IT", "AT", "PL", "NL", "BE", "CZ", "CH"});
 
   auto cars = devices::m2m_profile(devices::Vertical::kConnectedCar);
   cars.p_full_period = 0.7;

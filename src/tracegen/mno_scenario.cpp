@@ -5,6 +5,7 @@
 #include "stats/distributions.hpp"
 #include <cassert>
 
+#include "cellnet/country.hpp"
 #include "tracegen/calibration.hpp"
 
 namespace wtr::tracegen {
@@ -45,9 +46,10 @@ MnoScenario::MnoScenario(const MnoScenarioConfig& config)
   // without this the fleets would spread evenly across the three GB MNOs
   // and only a third of each target population would be observed.
   const auto observer = world_->well_known().uk_mno;
+  const auto gb = cellnet::require_country_id("GB");
   for (const auto& op : world_->operators().all()) {
-    if (op.country_iso != "GB") {
-      world_->mutable_steering().set_preference(op.id, "GB", {{observer, 15.0}});
+    if (op.country != gb) {
+      world_->mutable_steering().set_preference(op.id, gb, {{observer, 15.0}});
     }
   }
   build_smartphone_fleets();
@@ -82,7 +84,7 @@ sim::AgentOptions MnoScenario::base_options() const {
 }
 
 topology::OperatorId MnoScenario::foreign_mno(const std::string& iso) const {
-  const auto mnos = world_->operators().mnos_in_country(iso);
+  const auto mnos = world_->operators().mnos_in_country(cellnet::require_country_id(iso));
   assert(!mnos.empty());
   return mnos.front();
 }
@@ -377,7 +379,7 @@ void MnoScenario::build_inbound_m2m_fleets() {
     if (fleet.cap_2g) spec.cap_bands = two_g_only();
     sim::AgentOptions fleet_options = options;
     if (fleet.vertical == devices::Vertical::kConnectedCar) {
-      fleet_options.corridor = {"GB", "FR", "BE"};
+      fleet_options.corridor = sim::make_corridor({"GB", "FR", "BE"});
       spec.profile.p_cross_country_trip = 0.02;  // mostly stays in the UK
     }
     add_fleet(spec, fleet_options);

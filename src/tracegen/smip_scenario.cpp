@@ -1,5 +1,7 @@
 #include "tracegen/smip_scenario.hpp"
 
+#include "cellnet/country.hpp"
+
 namespace wtr::tracegen {
 
 namespace {
@@ -31,8 +33,8 @@ SmipScenario::SmipScenario(const SmipScenarioConfig& config)
   const auto& wk = world_->well_known();
   // Steer the Dutch provisioner's UK roamers to the observed MNO (see
   // MnoScenario for the rationale).
-  world_->mutable_steering().set_preference(wk.nl_iot_provisioner, "GB",
-                                            {{wk.uk_mno, 15.0}});
+  world_->mutable_steering().set_preference(
+      wk.nl_iot_provisioner, cellnet::require_country_id("GB"), {{wk.uk_mno, 15.0}});
   sim::AgentOptions options;
   options.retry_rate_boost = 10.0;
   options.backoff = config.backoff;

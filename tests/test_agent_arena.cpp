@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "ckpt/snapshot.hpp"
@@ -19,12 +20,14 @@
 namespace wtr::sim {
 namespace {
 
+using cellnet::require_country_id;
+
 devices::Device make_device(std::int32_t arrival_day, std::int32_t departure_day) {
   devices::Device device;
   device.profile.mobility = devices::MobilityKind::kStationary;
   device.profile.stationary_jitter_m = 100.0;
-  device.home_country = "GB";
-  device.current_country = "GB";
+  device.home_country = require_country_id("GB");
+  device.current_country = require_country_id("GB");
   device.arrival_day = arrival_day;
   device.departure_day = departure_day;
   return device;
@@ -138,6 +141,37 @@ TEST(AgentArena, SaveRestorePreservesDormancy) {
   util::BinWriter round_trip;
   restored.save_state(round_trip);
   EXPECT_EQ(round_trip.bytes(), out.bytes());
+}
+
+// Snapshots carry the current country as ISO text; text that names no
+// country must fail the restore, as a mismatched device id does, rather than
+// strand the device somewhere with no networks.
+TEST(DeviceAgentSnapshot, RestoreRejectsUnknownOrEmptyCountry) {
+  devices::Device device = make_device(1, 4);
+  AgentOptions options;
+  const DeviceAgent saved{&device, &options, stats::Rng{42}, 0};
+  util::BinWriter out;
+  saved.save_state(out);
+  const std::string& bytes = out.bytes();
+  const auto at = bytes.find("GB");
+  ASSERT_NE(at, std::string::npos);
+
+  std::string unknown = bytes;
+  unknown.replace(at, 2, "ZZ");
+  util::BinWriter empty_prefix;
+  empty_prefix.u64(device.id);
+  empty_prefix.str("");
+  const std::string empty = empty_prefix.bytes() + bytes.substr(at + 2);
+
+  DeviceAgent restored{&device, &options, stats::Rng{1}, 0};
+  for (const std::string& corrupt : {unknown, empty}) {
+    util::BinReader in{corrupt};
+    EXPECT_THROW(restored.restore_state(in), std::runtime_error);
+  }
+  util::BinReader in{bytes};
+  restored.restore_state(in);
+  EXPECT_EQ(device.current_country, require_country_id("GB"));
+  EXPECT_TRUE(in.exhausted());
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
 namespace wtr::cellnet {
 namespace {
@@ -84,6 +87,38 @@ TEST(Apn, EmptyApn) {
   EXPECT_TRUE(apn.empty());
   EXPECT_FALSE(apn.contains_keyword("x"));
   EXPECT_EQ(apn.to_string(), "");
+}
+
+// The snprintf renderer Apn::to_string replaced, kept as its reference: the
+// hand-written suffix must match it byte for byte for every uint16_t field,
+// including values wider than the three-digit padding.
+std::string snprintf_rendering(const Apn& apn) {
+  if (!apn.operator_id()) return apn.network_id();
+  char suffix[32];
+  std::snprintf(suffix, sizeof(suffix), ".mnc%0*u.mcc%03u.gprs", 3,
+                static_cast<unsigned>(apn.operator_id()->mnc()),
+                static_cast<unsigned>(apn.operator_id()->mcc()));
+  return apn.network_id() + suffix;
+}
+
+TEST(Apn, ToStringMatchesSnprintfForEveryMnc) {
+  for (std::uint32_t mnc = 0; mnc <= UINT16_MAX; ++mnc) {
+    const Apn apn{"smhp.centricaplc.com", Plmn{204, static_cast<std::uint16_t>(mnc), 3}};
+    ASSERT_EQ(apn.to_string(), snprintf_rendering(apn)) << "mnc " << mnc;
+  }
+}
+
+TEST(Apn, ToStringMatchesSnprintfForEveryMcc) {
+  for (std::uint32_t mcc = 0; mcc <= UINT16_MAX; ++mcc) {
+    const Apn apn{"iot.carrier.us", Plmn{static_cast<std::uint16_t>(mcc), 4, 2}};
+    ASSERT_EQ(apn.to_string(), snprintf_rendering(apn)) << "mcc " << mcc;
+  }
+}
+
+TEST(Apn, ToStringWithoutOperatorIdIsTheNetworkId) {
+  const Apn apn{"payandgo.example"};
+  EXPECT_EQ(apn.to_string(), snprintf_rendering(apn));
+  EXPECT_EQ(apn.to_string(), "payandgo.example");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 namespace wtr::cellnet {
 namespace {
@@ -46,6 +47,20 @@ TEST(Country, IsoOfMccFallsBack) {
 TEST(Country, UnknownIso) {
   EXPECT_FALSE(country_by_iso("XX").has_value());
   EXPECT_FALSE(country_by_iso("").has_value());
+}
+
+TEST(Country, IdsIndexTheTable) {
+  const auto countries = all_countries();
+  for (std::size_t i = 0; i < countries.size(); ++i) {
+    const auto id = country_id(countries[i].iso);
+    ASSERT_TRUE(id.has_value()) << countries[i].iso;
+    EXPECT_EQ(*id, i);
+    EXPECT_EQ(country_at(*id).iso, countries[i].iso);
+    EXPECT_EQ(require_country_id(countries[i].iso), *id);
+  }
+  EXPECT_FALSE(country_id("XX").has_value());
+  EXPECT_FALSE(country_id("").has_value());
+  EXPECT_THROW((void)require_country_id("XX"), std::invalid_argument);
 }
 
 TEST(Country, RegionsAssigned) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string_view>
 
 #include "devices/fleet_builder.hpp"
 #include "devices/verticals.hpp"
@@ -39,6 +41,20 @@ TEST_F(FleetBuilderTest, BuildsRequestedCount) {
   const auto fleet = builder.build(base_spec(100));
   EXPECT_EQ(fleet.size(), 100u);
   EXPECT_EQ(builder.devices_built(), 100u);
+}
+
+TEST_F(FleetBuilderTest, UnknownDeploymentCountryThrows) {
+  FleetBuilder builder{world(), pools(), 12};
+  auto spec = base_spec(10);
+  spec.deployment_iso = "ZZ";
+  try {
+    (void)builder.build(spec);
+    FAIL() << "an unknown deployment country must not build a fleet";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string_view{error.what()}.find("ZZ"), std::string_view::npos)
+        << error.what();
+  }
+  EXPECT_EQ(builder.devices_built(), 0u);
 }
 
 TEST_F(FleetBuilderTest, UniqueIdsAndImsisAcrossFleets) {

@@ -11,6 +11,8 @@
 namespace wtr {
 namespace {
 
+using cellnet::require_country_id;
+
 topology::WorldConfig nbiot_world_config() {
   topology::WorldConfig config;
   config.build_coverage = false;
@@ -21,17 +23,17 @@ topology::WorldConfig nbiot_world_config() {
 
 TEST(NbIotWorld, LeadingMnoDeploysIt) {
   const auto world = topology::World::build(nbiot_world_config());
-  const auto gb = world.operators().mnos_in_country("GB");
+  const auto gb = world.operators().mnos_in_country(require_country_id("GB"));
   EXPECT_TRUE(world.operators().get(gb[0]).deployed_rats.has(cellnet::Rat::kNbIot));
   EXPECT_FALSE(world.operators().get(gb[1]).deployed_rats.has(cellnet::Rat::kNbIot));
-  const auto fr = world.operators().mnos_in_country("FR");
+  const auto fr = world.operators().mnos_in_country(require_country_id("FR"));
   EXPECT_FALSE(world.operators().get(fr[0]).deployed_rats.has(cellnet::Rat::kNbIot));
 }
 
 TEST(NbIotWorld, RoamingTrialCoversNbIot) {
   const auto world = topology::World::build(nbiot_world_config());
   const auto& wk = world.well_known();
-  const auto gb = world.operators().mnos_in_country("GB").front();
+  const auto gb = world.operators().mnos_in_country(require_country_id("GB")).front();
   const auto resolved = world.resolve_roaming(wk.nl_iot_provisioner, gb);
   EXPECT_TRUE(resolved.terms.allowed_rats.has(cellnet::Rat::kNbIot));
 }
@@ -51,9 +53,9 @@ TEST(NbIotSelection, LpwaOnlyDeviceCampsOnNbIot) {
   devices::Device device;
   device.home_operator = world.well_known().nl_iot_provisioner;
   device.capability = cellnet::RatMask::of(cellnet::Rat::kNbIot);
-  device.home_country = "NL";
-  device.current_country = "GB";
-  const auto gb = world.operators().mnos_in_country("GB");
+  device.home_country = require_country_id("NL");
+  device.current_country = require_country_id("GB");
+  const auto gb = world.operators().mnos_in_country(require_country_id("GB"));
   EXPECT_EQ(selector.radio_rat(device, gb[0]), cellnet::Rat::kNbIot);
   EXPECT_FALSE(selector.radio_rat(device, gb[1]).has_value());  // no NB there
   // Conventional hardware never prefers NB-IoT.

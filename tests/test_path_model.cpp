@@ -5,6 +5,8 @@
 namespace wtr::topology {
 namespace {
 
+using cellnet::require_country_id;
+
 class PathModelTest : public ::testing::Test {
  protected:
   static const World& world() {
@@ -19,7 +21,7 @@ class PathModelTest : public ::testing::Test {
   PathModel model_{world()};
 
   OperatorId mno(const char* iso) const {
-    return world().operators().mnos_in_country(iso).front();
+    return world().operators().mnos_in_country(require_country_id(iso)).front();
   }
 };
 

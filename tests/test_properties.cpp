@@ -15,6 +15,8 @@
 namespace wtr {
 namespace {
 
+using cellnet::require_country_id;
+
 // ---------- Catalog accumulator conservation under random streams.
 
 class CatalogConservation : public ::testing::TestWithParam<std::uint64_t> {};
@@ -171,8 +173,8 @@ TEST(WorldProperties, EuBilateralsAreSymmetricHomeRouted) {
   topology::WorldConfig config;
   config.build_coverage = false;
   const auto world = topology::World::build(config);
-  const auto es = world.operators().mnos_in_country("ES");
-  const auto fr = world.operators().mnos_in_country("FR");
+  const auto es = world.operators().mnos_in_country(require_country_id("ES"));
+  const auto fr = world.operators().mnos_in_country(require_country_id("FR"));
   for (const auto a : es) {
     for (const auto b : fr) {
       const auto ab = world.bilateral().find(a, b);
@@ -191,9 +193,9 @@ TEST(WorldProperties, SteeringCandidatesAreCountryMnosWithPaths) {
   const auto world = topology::World::build(config);
   const auto& wk = world.well_known();
   for (const auto* iso : {"GB", "FR", "BR", "JP", "KE"}) {
-    const auto local = world.operators().mnos_in_country(iso);
+    const auto local = world.operators().mnos_in_country(require_country_id(iso));
     const auto candidates = world.steering().candidates(
-        world.operators(), world.bilateral(), world.hubs(), wk.es_hmno, iso);
+        world.operators(), world.bilateral(), world.hubs(), wk.es_hmno, require_country_id(iso));
     for (const auto& candidate : candidates) {
       EXPECT_NE(std::find(local.begin(), local.end(), candidate.visited), local.end());
       EXPECT_NE(candidate.roaming.path, topology::RoamingPath::kNone);
@@ -207,7 +209,7 @@ TEST(WorldProperties, ResolveRoamingIsDeterministic) {
   const auto world = topology::World::build(config);
   const auto& wk = world.well_known();
   for (const auto* iso : {"GB", "US", "AU"}) {
-    const auto visited = world.operators().mnos_in_country(iso).front();
+    const auto visited = world.operators().mnos_in_country(require_country_id(iso)).front();
     const auto a = world.resolve_roaming(wk.es_hmno, visited);
     const auto b = world.resolve_roaming(wk.es_hmno, visited);
     EXPECT_EQ(a.path, b.path);

@@ -1,13 +1,21 @@
 // Determinism and cross-scenario invariants: identical seeds must replay
-// identical traces; different seeds must not.
+// identical traces; different seeds must not; and each scenario's WTRTRC1
+// bytes are pinned across commits.
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <sstream>
+#include <string_view>
+
 #include "core/catalog_builder.hpp"
 #include "core/platform_analysis.hpp"
+#include "faults/congestion.hpp"
+#include "io/bintrace.hpp"
 #include "tracegen/m2m_platform_scenario.hpp"
 #include "tracegen/mno_scenario.hpp"
 #include "tracegen/smip_scenario.hpp"
+#include "tracegen/storm_scenario.hpp"
 
 namespace wtr {
 namespace {
@@ -143,6 +151,125 @@ TEST(ScenarioInvariants, ScaleChangesDeviceCountRoughlyLinearly) {
   const double ratio =
       static_cast<double>(b.device_count()) / static_cast<double>(s.device_count());
   EXPECT_NEAR(ratio, 2.0, 0.4);
+}
+
+// --- Golden scenario output across commits ----------------------------------
+// The determinism tests above compare two runs of one build, so a change
+// that moves every run the same way (a reordered RNG draw, a different
+// border crossing) passes them. These pin each scenario's full WTRTRC1
+// stream: byte length plus an FNV-1a-64 of the bytes. Fleets stay small so
+// the suite also runs under TSan. A deliberate output change must update
+// the pinned values on purpose.
+
+struct TraceFingerprint {
+  std::uint64_t bytes = 0;
+  std::uint64_t fnv1a64 = 0;
+
+  friend bool operator==(const TraceFingerprint&, const TraceFingerprint&) = default;
+};
+
+void PrintTo(const TraceFingerprint& f, std::ostream* os) {
+  *os << "{" << f.bytes << "u, 0x" << std::hex << f.fnv1a64 << std::dec << "ull}";
+}
+
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+template <typename Scenario>
+TraceFingerprint fingerprint(Scenario& scenario) {
+  std::ostringstream out;
+  io::BinaryTraceSink sink{out};
+  scenario.run({&sink});
+  sink.finish();
+  const std::string bytes = out.str();
+  return {bytes.size(), fnv1a64(bytes)};
+}
+
+TraceFingerprint golden_mno(bool coverage, unsigned threads) {
+  tracegen::MnoScenarioConfig config;
+  config.seed = 42;
+  config.total_devices = 1'200;
+  config.days = 7;
+  config.build_coverage = coverage;
+  config.threads = threads;
+  tracegen::MnoScenario scenario{config};
+  return fingerprint(scenario);
+}
+
+constexpr TraceFingerprint kMnoCoverageOff{6434737u, 0x4ec654fb1dee96caull};
+
+TEST(ScenarioGolden, MnoCoverageOff) {
+  EXPECT_EQ(golden_mno(false, 1), kMnoCoverageOff);
+}
+
+TEST(ScenarioGolden, MnoCoverageOn) {
+  EXPECT_EQ(golden_mno(true, 1), (TraceFingerprint{6558305u, 0xf0c61551ffd616a6ull}));
+}
+
+TEST(ScenarioGolden, MnoThreads4PinsThreads1Value) {
+  EXPECT_EQ(golden_mno(false, 4), kMnoCoverageOff);
+}
+
+TEST(ScenarioGolden, PlatformCorridorsAndSteering) {
+  // Long-haul ES and DE fleets cross EU borders on their corridors, and the
+  // ES HMNO's per-country steering ranks every visited network.
+  tracegen::M2MPlatformConfig config;
+  config.seed = 7;
+  config.total_devices = 1'200;
+  config.days = 6;
+  tracegen::M2MPlatformScenario scenario{config};
+  EXPECT_EQ(fingerprint(scenario), (TraceFingerprint{5099660u, 0x8506671da1a0906aull}));
+}
+
+TEST(ScenarioGolden, Smip) {
+  tracegen::SmipScenarioConfig config;
+  config.seed = 9;
+  config.total_devices = 800;
+  config.days = 7;
+  tracegen::SmipScenario scenario{config};
+  EXPECT_EQ(fingerprint(scenario), (TraceFingerprint{4706285u, 0xe08b7dcc84f6d58cull}));
+}
+
+TraceFingerprint golden_storm(bool congested) {
+  tracegen::StormScenarioConfig config;
+  config.seed = 77;
+  config.meters = 600;
+  config.trackers = 150;
+  config.days = 1;
+  config.checkin_jitter_s = 150.0;
+  config.fota_start_s = 8 * 3600;
+  config.fota_failure_p = 0.4;
+  config.backoff.enabled = true;
+  std::optional<faults::CongestionModel> model;
+  if (congested) {
+    // Operator ids are world properties: a tiny identically seeded scenario
+    // names the congested core without paying for the fleets.
+    auto probe_config = config;
+    probe_config.meters = 8;
+    probe_config.trackers = 2;
+    const tracegen::StormScenario probe{probe_config};
+    faults::CongestionConfig congestion;
+    congestion.bucket_s = 60;
+    congestion.capacities = {{probe.observer_radio(), 48.0}};
+    model.emplace(congestion, probe.operator_count());
+    config.congestion = &*model;
+  }
+  tracegen::StormScenario scenario{config};
+  return fingerprint(scenario);
+}
+
+TEST(ScenarioGolden, Storm) {
+  EXPECT_EQ(golden_storm(false), (TraceFingerprint{305539u, 0x4c15c73291fa2eb9ull}));
+}
+
+TEST(ScenarioGolden, StormCongested) {
+  EXPECT_EQ(golden_storm(true), (TraceFingerprint{306579u, 0x89ff7a9aa16523abull}));
 }
 
 }  // namespace

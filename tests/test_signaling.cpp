@@ -8,6 +8,8 @@
 namespace wtr::signaling {
 namespace {
 
+using cellnet::require_country_id;
+
 TEST(Procedure, Names) {
   EXPECT_EQ(procedure_name(Procedure::kAttach), "Attach");
   EXPECT_EQ(procedure_name(Procedure::kUpdateLocation), "UpdateLocation");
@@ -149,7 +151,7 @@ TEST_F(OutcomePolicyTest, SimScopeWithoutRatUnsupported) {
 TEST_F(OutcomePolicyTest, VisitedWithoutRatUnsupported) {
   // Japanese MNOs retired 2G in the world model.
   const auto& wk = world().well_known();
-  const auto jp = world().operators().mnos_in_country("JP").front();
+  const auto jp = world().operators().mnos_in_country(require_country_id("JP")).front();
   EXPECT_EQ(policy_.evaluate(world(), 0, wk.es_hmno, jp, cellnet::Rat::kTwoG, all_, all_,
                              true, 0, rng_),
             ResultCode::kFeatureUnsupported);
@@ -163,7 +165,7 @@ TEST_F(OutcomePolicyTest, DeadSubscriptionUnknown) {
 
 TEST_F(OutcomePolicyTest, RoamingViaHubAllowed) {
   const auto& wk = world().well_known();
-  const auto gb = world().operators().mnos_in_country("GB").front();
+  const auto gb = world().operators().mnos_in_country(require_country_id("GB")).front();
   EXPECT_EQ(policy_.evaluate(world(), 0, wk.es_hmno, gb, cellnet::Rat::kFourG, all_, all_,
                              true, 0, rng_),
             ResultCode::kOk);
@@ -178,7 +180,7 @@ TEST_F(OutcomePolicyTest, NationalRoamingWithoutAgreementRejected) {
   // checked against the commercial graph. GB MNOs share the m2m hub, so it
   // resolves; assert only that the call completes with a definite verdict.
   const auto& wk = world().well_known();
-  const auto other_gb = world().operators().mnos_in_country("GB")[1];
+  const auto other_gb = world().operators().mnos_in_country(require_country_id("GB"))[1];
   const auto verdict = policy_.evaluate(world(), 0, wk.uk_mvnos.front(), other_gb,
                                         cellnet::Rat::kThreeG, all_, all_, true, 0, rng_);
   EXPECT_TRUE(verdict == ResultCode::kOk || verdict == ResultCode::kRoamingNotAllowed);

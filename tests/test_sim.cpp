@@ -1,11 +1,16 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string_view>
+
 #include "devices/fleet_builder.hpp"
 #include "sim/engine.hpp"
 
 namespace wtr::sim {
 namespace {
+
+using cellnet::require_country_id;
 
 TEST(EventQueue, OrdersByTime) {
   EventQueue queue;
@@ -37,8 +42,8 @@ devices::Device make_device(devices::MobilityKind mobility) {
   device.profile.commute_radius_m = 5'000.0;
   device.profile.stationary_jitter_m = 200.0;
   device.profile.p_cross_country_trip = 1.0;  // certain, for trip tests
-  device.home_country = "GB";
-  device.current_country = "GB";
+  device.home_country = require_country_id("GB");
+  device.current_country = require_country_id("GB");
   device.home_east_m = 1'000.0;
   device.home_north_m = -500.0;
   device.east_m = 1'000.0;
@@ -54,7 +59,7 @@ TEST(Mobility, StationaryStaysNearHome) {
     const double dx = device.east_m - device.home_east_m;
     const double dy = device.north_m - device.home_north_m;
     EXPECT_LT(std::sqrt(dx * dx + dy * dy), 200.0 * 6);
-    EXPECT_EQ(device.current_country, "GB");
+    EXPECT_EQ(device.current_country, require_country_id("GB"));
   }
 }
 
@@ -73,15 +78,29 @@ TEST(Mobility, LongHaulCrossesBordersOnlyWithCorridor) {
   auto stay = make_device(devices::MobilityKind::kLongHaul);
   stats::Rng rng{3};
   for (int i = 0; i < 50; ++i) advance_position(stay, 86'400.0, {}, rng);
-  EXPECT_EQ(stay.current_country, "GB");
+  EXPECT_EQ(stay.current_country, require_country_id("GB"));
 
   auto go = make_device(devices::MobilityKind::kLongHaul);
+  const auto corridor = make_corridor({"FR", "BE"});
   bool crossed = false;
   for (int i = 0; i < 50 && !crossed; ++i) {
-    advance_position(go, 86'400.0, {"FR", "BE"}, rng);
-    crossed = go.current_country != "GB";
+    advance_position(go, 86'400.0, corridor, rng);
+    crossed = go.current_country != require_country_id("GB");
   }
   EXPECT_TRUE(crossed);
+}
+
+TEST(Mobility, CorridorKeepsOrderAndRejectsUnknownCountries) {
+  EXPECT_EQ(make_corridor({"FR", "GB", "BE"}),
+            (TravelCorridor{require_country_id("FR"), require_country_id("GB"),
+                            require_country_id("BE")}));
+  try {
+    (void)make_corridor({"GB", "ZZ", "FR"});
+    FAIL() << "an unknown corridor country must throw";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string_view{error.what()}.find("ZZ"), std::string_view::npos)
+        << error.what();
+  }
 }
 
 TEST(Mobility, ZeroDtIsNoOp) {
@@ -103,19 +122,19 @@ class SelectionTest : public ::testing::Test {
     return w;
   }
 
-  devices::Device roamer(const std::string& country) const {
+  devices::Device roamer(std::string_view country) const {
     devices::Device device;
     device.home_operator = world().well_known().es_hmno;
     device.capability = cellnet::RatMask{0b111};
-    device.home_country = "ES";
-    device.current_country = country;
+    device.home_country = require_country_id("ES");
+    device.current_country = require_country_id(country);
     return device;
   }
 };
 
 TEST_F(SelectionTest, HomeNetworkFirstAtHome) {
   auto device = roamer("ES");
-  device.home_operator = world().operators().mnos_in_country("ES").front();
+  device.home_operator = world().operators().mnos_in_country(require_country_id("ES")).front();
   stats::Rng rng{1};
   NetworkSelector selector{world()};
   const auto scanned = selector.scan(device, std::nullopt, rng);
@@ -131,7 +150,7 @@ TEST_F(SelectionTest, RoamingScanListsLocalMnos) {
   const auto scanned = selector.scan(device, std::nullopt, rng);
   EXPECT_GE(scanned.size(), 3u);
   for (const auto& choice : scanned) {
-    EXPECT_EQ(world().operators().get(choice.visited).country_iso, "GB");
+    EXPECT_EQ(world().operators().get(choice.visited).country, require_country_id("GB"));
     EXPECT_FALSE(choice.is_home_network);
   }
 }
@@ -150,7 +169,7 @@ TEST_F(SelectionTest, ExclusionRemovesNetwork) {
 TEST_F(SelectionTest, RadioRatPrefers4G) {
   const auto device = roamer("GB");
   NetworkSelector selector{world()};
-  const auto gb = world().operators().mnos_in_country("GB").front();
+  const auto gb = world().operators().mnos_in_country(require_country_id("GB")).front();
   EXPECT_EQ(selector.radio_rat(device, gb), cellnet::Rat::kFourG);
 }
 
@@ -158,7 +177,7 @@ TEST_F(SelectionTest, RadioRatRespectsHardware) {
   auto device = roamer("GB");
   device.capability = cellnet::RatMask{0b001};
   NetworkSelector selector{world()};
-  const auto gb = world().operators().mnos_in_country("GB").front();
+  const auto gb = world().operators().mnos_in_country(require_country_id("GB")).front();
   EXPECT_EQ(selector.radio_rat(device, gb), cellnet::Rat::kTwoG);
 }
 
@@ -166,7 +185,7 @@ TEST_F(SelectionTest, RadioRatEmptyWhenNoOverlap) {
   auto device = roamer("JP");  // JP MNOs have no 2G
   device.capability = cellnet::RatMask{0b001};
   NetworkSelector selector{world()};
-  const auto jp = world().operators().mnos_in_country("JP").front();
+  const auto jp = world().operators().mnos_in_country(require_country_id("JP")).front();
   EXPECT_FALSE(selector.radio_rat(device, jp).has_value());
   stats::Rng rng{4};
   EXPECT_TRUE(selector.scan(device, std::nullopt, rng).empty());
@@ -175,7 +194,7 @@ TEST_F(SelectionTest, RadioRatEmptyWhenNoOverlap) {
 TEST_F(SelectionTest, FallbackChainDescends) {
   const auto device = roamer("GB");
   NetworkSelector selector{world()};
-  const auto gb = world().operators().mnos_in_country("GB").front();
+  const auto gb = world().operators().mnos_in_country(require_country_id("GB")).front();
   EXPECT_EQ(selector.radio_fallback_rat(device, gb, cellnet::Rat::kFourG),
             cellnet::Rat::kThreeG);
   EXPECT_EQ(selector.radio_fallback_rat(device, gb, cellnet::Rat::kThreeG),

@@ -6,11 +6,14 @@
 namespace wtr::topology {
 namespace {
 
+using cellnet::require_country_id;
+
 cellnet::RatMask all_rats() { return cellnet::RatMask{0b111}; }
 
 TEST(OperatorRegistry, AddAndLookup) {
   OperatorRegistry registry;
-  const auto id = registry.add_mno(cellnet::Plmn{234, 10, 2}, "Test", "GB", all_rats());
+  const auto id =
+      registry.add_mno(cellnet::Plmn{234, 10, 2}, "Test", require_country_id("GB"), all_rats());
   EXPECT_EQ(registry.get(id).name, "Test");
   EXPECT_EQ(registry.by_plmn(cellnet::Plmn{234, 10, 2}), id);
   EXPECT_FALSE(registry.by_plmn(cellnet::Plmn{214, 7, 2}).has_value());
@@ -18,9 +21,10 @@ TEST(OperatorRegistry, AddAndLookup) {
 
 TEST(OperatorRegistry, MvnoInheritsHost) {
   OperatorRegistry registry;
-  const auto host = registry.add_mno(cellnet::Plmn{234, 10, 2}, "Host", "GB", all_rats());
+  const auto host =
+      registry.add_mno(cellnet::Plmn{234, 10, 2}, "Host", require_country_id("GB"), all_rats());
   const auto mvno = registry.add_mvno(cellnet::Plmn{235, 50, 2}, "Virtual", host);
-  EXPECT_EQ(registry.get(mvno).country_iso, "GB");
+  EXPECT_EQ(registry.get(mvno).country, require_country_id("GB"));
   EXPECT_EQ(registry.get(mvno).kind, OperatorKind::kMvno);
   EXPECT_EQ(registry.radio_network_of(mvno), host);
   EXPECT_EQ(registry.radio_network_of(host), host);
@@ -28,10 +32,11 @@ TEST(OperatorRegistry, MvnoInheritsHost) {
 
 TEST(OperatorRegistry, MnosInCountryExcludesMvnos) {
   OperatorRegistry registry;
-  const auto a = registry.add_mno(cellnet::Plmn{234, 10, 2}, "A", "GB", all_rats());
+  const auto a =
+      registry.add_mno(cellnet::Plmn{234, 10, 2}, "A", require_country_id("GB"), all_rats());
   registry.add_mvno(cellnet::Plmn{235, 50, 2}, "V", a);
-  registry.add_mno(cellnet::Plmn{214, 1, 2}, "B", "ES", all_rats());
-  const auto gb = registry.mnos_in_country("GB");
+  registry.add_mno(cellnet::Plmn{214, 1, 2}, "B", require_country_id("ES"), all_rats());
+  const auto gb = registry.mnos_in_country(require_country_id("GB"));
   ASSERT_EQ(gb.size(), 1u);
   EXPECT_EQ(gb.front(), a);
 }
@@ -133,10 +138,11 @@ TEST(Steering, CandidatesFilteredAndSorted) {
   const auto world = World::build(config);
   const auto& wk = world.well_known();
   const auto candidates = world.steering().candidates(
-      world.operators(), world.bilateral(), world.hubs(), wk.es_hmno, "GB");
+      world.operators(), world.bilateral(), world.hubs(), wk.es_hmno, require_country_id("GB"));
   ASSERT_FALSE(candidates.empty());
   // ES steering prefers the first GB MNO with weight 6.
-  EXPECT_EQ(candidates.front().visited, world.operators().mnos_in_country("GB").front());
+  EXPECT_EQ(candidates.front().visited,
+            world.operators().mnos_in_country(require_country_id("GB")).front());
   EXPECT_GT(candidates.front().weight, candidates.back().weight);
   for (const auto& candidate : candidates) {
     EXPECT_NE(candidate.roaming.path, RoamingPath::kNone);
@@ -150,7 +156,7 @@ TEST(Steering, PickRespectsRatFilter) {
   stats::Rng rng{1};
   const auto picked = world.steering().pick(
       world.operators(), world.bilateral(), world.hubs(),
-      world.well_known().es_hmno, "FR", cellnet::Rat::kFourG, rng);
+      world.well_known().es_hmno, require_country_id("FR"), cellnet::Rat::kFourG, rng);
   ASSERT_TRUE(picked.has_value());
   EXPECT_TRUE(picked->roaming.terms.allowed_rats.has(cellnet::Rat::kFourG));
 }
@@ -172,7 +178,7 @@ TEST_F(WorldTest, WellKnownOperatorsExist) {
   EXPECT_EQ(world().operators().get(wk.es_hmno).plmn, (cellnet::Plmn{214, 7, 2}));
   EXPECT_EQ(world().operators().get(wk.nl_iot_provisioner).plmn,
             (cellnet::Plmn{204, 4, 2}));
-  EXPECT_EQ(world().operators().get(wk.uk_mno).country_iso, "GB");
+  EXPECT_EQ(world().operators().get(wk.uk_mno).country, require_country_id("GB"));
   EXPECT_EQ(wk.uk_mvnos.size(), 3u);
   for (const auto mvno : wk.uk_mvnos) {
     EXPECT_EQ(world().operators().radio_network_of(mvno), wk.uk_mno);
@@ -181,23 +187,23 @@ TEST_F(WorldTest, WellKnownOperatorsExist) {
 
 TEST_F(WorldTest, EveryCountryHasMnos) {
   for (const auto& country : cellnet::all_countries()) {
-    EXPECT_GE(world().operators().mnos_in_country(country.iso).size(), 3u)
+    EXPECT_GE(world().operators().mnos_in_country(require_country_id(country.iso)).size(), 3u)
         << country.iso;
   }
 }
 
 TEST_F(WorldTest, TwoGSunsetCountries) {
-  for (const auto id : world().operators().mnos_in_country("JP")) {
+  for (const auto id : world().operators().mnos_in_country(require_country_id("JP"))) {
     EXPECT_FALSE(world().operators().get(id).deployed_rats.has(cellnet::Rat::kTwoG));
   }
-  for (const auto id : world().operators().mnos_in_country("GB")) {
+  for (const auto id : world().operators().mnos_in_country(require_country_id("GB"))) {
     EXPECT_TRUE(world().operators().get(id).deployed_rats.has(cellnet::Rat::kTwoG));
   }
 }
 
 TEST_F(WorldTest, IntraEuRoamingIsHomeRoutedBilateral) {
-  const auto es = world().operators().mnos_in_country("ES").front();
-  const auto fr = world().operators().mnos_in_country("FR").front();
+  const auto es = world().operators().mnos_in_country(require_country_id("ES")).front();
+  const auto fr = world().operators().mnos_in_country(require_country_id("FR")).front();
   const auto resolved = world().resolve_roaming(es, fr);
   EXPECT_EQ(resolved.path, RoamingPath::kDirect);
   EXPECT_EQ(resolved.terms.breakout, BreakoutType::kHomeRouted);
@@ -208,7 +214,7 @@ TEST_F(WorldTest, GlobalReachViaHubs) {
   // peering) — the premise of the global IoT SIM.
   const auto& wk = world().well_known();
   for (const auto* iso : {"AU", "JP", "KE", "BR", "US", "VN"}) {
-    const auto visited = world().operators().mnos_in_country(iso).front();
+    const auto visited = world().operators().mnos_in_country(require_country_id(iso)).front();
     const auto resolved = world().resolve_roaming(wk.es_hmno, visited);
     EXPECT_NE(resolved.path, RoamingPath::kNone) << iso;
   }
