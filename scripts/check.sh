@@ -20,7 +20,10 @@
 #     ledgers merging at engine barriers) runs under TSan too, then the
 #     ASan tree drives kill injection through an overload window
 #     (KillInjectionStorm*) as its own serial lane.
-#  3. Perf gate — build bench_p1_pipeline_perf in the plain `build/` tree
+#  3. Perfbench lane — build the end-to-end benchmark package
+#     (perfbench/) against this tree's src/ and run its self-tests, so a
+#     src/ API change that breaks it fails here, not at benchmark time.
+#  4. Perf gate — build bench_p1_pipeline_perf in the plain `build/` tree
 #     (no sanitizers; timings must be real), run its instrumented pipeline
 #     (--manifest-only), drop BENCH_p1.json in the repo root, and fail on a
 #     >25% phase-timer or records/sec regression against the checked-in
@@ -209,6 +212,15 @@ for tree in "$build_dir" "$tsan_dir"; do
   done
 done
 echo "check.sh: scale-smoke lane passed (${scale_devices} agents, threads=1 == threads=4 under ASan and TSan)"
+
+# --- Perfbench lane -----------------------------------------------------------
+# perfbench/ builds its own out-of-tree package (.bench_build/) from src/.
+# --selftest runs the C++ self-tests, the helper unit tests and a 2k-device
+# smoke of all three workloads, untraced and traced, each checked against
+# its stored smoke digest. The census digest hashes every DeviceSummary
+# field (APNs as text), so a catalog or census output change fails here.
+python3 perfbench/run.py --selftest
+echo "check.sh: perfbench lane passed (self-tests + smoke digests of all workloads)"
 
 # --- Perf gate (plain build: sanitizer overhead would swamp the timers) ----
 baseline="bench/baselines/BENCH_p1_baseline.json"

@@ -13,6 +13,11 @@
 // Also defines DeviceSummary, the per-device rollup every §5–7 analysis
 // consumes.
 
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -46,30 +51,65 @@ class CatalogAccumulator final : public sim::RecordSink {
   [[nodiscard]] records::DevicesCatalog finalize();
 
  private:
+  // Scenario rows see at most three visited PLMNs and one APN per
+  // (device, day); a row that outgrows the inline arrays keeps the rest in
+  // overflow_.
+  static constexpr std::size_t kInlinePlmns = 3;
+  static constexpr std::size_t kInlineApns = 2;
+  static constexpr std::uint32_t kChunkRows = 4096;
+  static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+  /// One (device, day) of the catalog while it accumulates. Plain data:
+  /// opening one allocates nothing, and the table is released in one step.
   struct Partial {
     signaling::DeviceHash device = 0;
-    std::int32_t day = 0;
-    cellnet::Plmn sim_plmn{};
-    std::vector<cellnet::Plmn> visited_plmns;
     std::uint64_t signaling_events = 0;
     std::uint64_t failed_events = 0;
-    std::uint32_t calls = 0;
-    double call_seconds = 0.0;
     std::uint64_t bytes = 0;
-    std::vector<std::string> apns;
+    double call_seconds = 0.0;
+    GyrationAccumulator gyration;
+    std::int32_t day = 0;
+    std::uint32_t calls = 0;
     cellnet::Tac tac = 0;
+    std::uint32_t apns[kInlineApns] = {};  // ids into apn_texts_
+    std::uint32_t overflow = kNone;        // index into overflow_
+    cellnet::Plmn sim_plmn{};
+    cellnet::Plmn visited[kInlinePlmns] = {};
+    std::uint8_t visited_count = 0;
+    std::uint8_t apn_count = 0;
     cellnet::RatMask radio_flags{};
     cellnet::RatMask data_rats{};
     cellnet::RatMask voice_rats{};
-    GyrationAccumulator gyration;
+  };
+  static_assert(std::is_trivially_copyable_v<Partial>);
+
+  struct Overflow {
+    std::vector<cellnet::Plmn> visited;
+    std::vector<std::uint32_t> apns;
   };
 
   [[nodiscard]] bool in_family(cellnet::Plmn plmn) const noexcept;
+  Partial& row(std::uint32_t r) noexcept { return chunks_[r / kChunkRows][r % kChunkRows]; }
+  Partial& row_for(signaling::DeviceHash device, std::int32_t day);
   Partial& partial_for(signaling::DeviceHash device, std::int32_t day,
                        cellnet::Plmn sim_plmn);
+  void grow_index();
+  void add_visited(Partial& partial, cellnet::Plmn plmn);
+  void add_apn(Partial& partial, const std::string& text);
+  Overflow& overflow_of(Partial& partial);
 
   Config config_;
-  std::unordered_map<std::uint64_t, Partial> partials_;
+  // Rows in first-touch order, kChunkRows to a chunk: the store grows
+  // without moving a row or leaving a freed copy of itself behind.
+  std::vector<std::unique_ptr<Partial[]>> chunks_;
+  std::uint32_t rows_ = 0;
+  std::vector<std::uint32_t> index_;   // open addressing: row numbers, kNone = empty
+  std::uint32_t last_row_ = kNone;     // row of the previous record
+  std::vector<Overflow> overflow_;
+  // APN dictionary: each distinct text once, ids in first-seen order. The
+  // texts are the map's keys, which stay put when the map rehashes.
+  std::unordered_map<std::string, std::uint32_t> apn_ids_;
+  std::vector<const std::string*> apn_texts_;
   std::uint64_t accepted_ = 0;
 };
 

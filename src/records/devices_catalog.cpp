@@ -8,7 +8,6 @@ namespace wtr::records {
 
 void DevicesCatalog::add(DailyDeviceRecord record) {
   records_.push_back(std::move(record));
-  index_valid_ = false;
 }
 
 std::size_t DevicesCatalog::distinct_devices() const {
@@ -27,30 +26,6 @@ std::pair<std::int32_t, std::int32_t> DevicesCatalog::day_span() const {
     hi = std::max(hi, record.day);
   }
   return {lo, hi};
-}
-
-void DevicesCatalog::ensure_index() const {
-  if (index_valid_) return;
-  index_.clear();
-  index_.reserve(records_.size());
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    index_[records_[i].device].push_back(i);
-  }
-  index_valid_ = true;
-}
-
-std::vector<const DailyDeviceRecord*> DevicesCatalog::of_device(
-    signaling::DeviceHash device) const {
-  ensure_index();
-  std::vector<const DailyDeviceRecord*> out;
-  const auto it = index_.find(device);
-  if (it == index_.end()) return out;
-  out.reserve(it->second.size());
-  for (std::size_t i : it->second) out.push_back(&records_[i]);
-  std::sort(out.begin(), out.end(), [](const DailyDeviceRecord* a, const DailyDeviceRecord* b) {
-    return a->day < b->day;
-  });
-  return out;
 }
 
 }  // namespace wtr::records

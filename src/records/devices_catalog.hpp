@@ -7,7 +7,7 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cellnet/geo.hpp"
@@ -65,16 +65,8 @@ class DevicesCatalog {
   /// Day range covered: [min_day, max_day]; {0, -1} when empty.
   [[nodiscard]] std::pair<std::int32_t, std::int32_t> day_span() const;
 
-  /// Records of one device, in day order.
-  [[nodiscard]] std::vector<const DailyDeviceRecord*> of_device(
-      signaling::DeviceHash device) const;
-
  private:
   std::vector<DailyDeviceRecord> records_;
-  mutable std::unordered_map<signaling::DeviceHash, std::vector<std::size_t>> index_;
-  mutable bool index_valid_ = true;
-
-  void ensure_index() const;
 };
 
 }  // namespace wtr::records

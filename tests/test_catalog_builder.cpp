@@ -2,6 +2,50 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <variant>
+
+// Counting global allocator: this binary's tests can assert how often a
+// code path reaches the heap. It is its own executable, so no other suite
+// sees the replacement.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_malloc(std::size_t size) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc{};
+}
+}  // namespace
+
+// Every non-aligned form, so each allocation and its release meet in the
+// same allocator: under ASan a form left out comes from the sanitizer's
+// allocator, and freeing it here is reported as a mismatch. The deletes
+// stay out of line: inlined into a caller, GCC pairs the std::free with the
+// caller's operator new and warns of a mismatch.
+void* operator new(std::size_t size) { return counted_new(size); }
+void* operator new[](std::size_t size) { return counted_new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
 namespace wtr::core {
 namespace {
 
@@ -140,6 +184,192 @@ TEST(CatalogAccumulator, FinalizeOrdersDeterministically) {
   EXPECT_EQ(catalog.records()[2].day, 1);
 }
 
+records::Xdr xdr(signaling::DeviceHash device, stats::SimTime time, cellnet::Plmn sim,
+                 cellnet::Plmn visited, std::string apn) {
+  records::Xdr x;
+  x.device = device;
+  x.time = time;
+  x.sim_plmn = sim;
+  x.visited_plmn = visited;
+  x.bytes_up = 100;
+  x.apn = std::move(apn);
+  x.rat = cellnet::Rat::kFourG;
+  return x;
+}
+
+TEST(CatalogAccumulator, OverflowKeepsEveryVisitedPlmnAndApnOnce) {
+  // More distinct visited networks and APNs than a row holds inline, with
+  // repeats and an empty APN mixed in. A family SIM abroad makes every
+  // visited network visible.
+  const std::vector<cellnet::Plmn> visited{{204, 8}, {262, 1}, {208, 10}, {204, 4},
+                                           {214, 7}, {262, 1}, {208, 10}, {204, 8}};
+  const std::vector<std::string> apns{"zeta.example", "",  "alpha.example",
+                                      "m2m.fleet-telemetry.example.io", "alpha.example",
+                                      "beta",         "",  "zeta.example", "gamma.example"};
+  auto acc = make_accumulator();
+  for (std::size_t i = 0; i < apns.size(); ++i) {
+    acc.on_xdr(xdr(40, 100 + static_cast<stats::SimTime>(i), kMvno,
+                   visited[i % visited.size()], apns[i]));
+  }
+  // Day 1 adds one network and one APN that day 0 did not see.
+  acc.on_xdr(xdr(40, stats::kSecondsPerDay + 5, kMvno, {228, 1}, "delta.example"));
+  acc.on_xdr(xdr(40, stats::kSecondsPerDay + 6, kMvno, {204, 8}, "beta"));
+
+  const auto catalog = acc.finalize();
+  ASSERT_EQ(catalog.size(), 2u);
+  const auto& day0 = catalog.records()[0];
+  EXPECT_EQ(day0.visited_plmns, (std::vector<cellnet::Plmn>{
+                                    {204, 4}, {204, 8}, {208, 10}, {214, 7}, {262, 1}}));
+  EXPECT_EQ(day0.apns, (std::vector<std::string>{"alpha.example", "beta", "gamma.example",
+                                                 "m2m.fleet-telemetry.example.io",
+                                                 "zeta.example"}));
+  const auto& day1 = catalog.records()[1];
+  EXPECT_EQ(day1.visited_plmns, (std::vector<cellnet::Plmn>{{204, 8}, {228, 1}}));
+  EXPECT_EQ(day1.apns, (std::vector<std::string>{"beta", "delta.example"}));
+
+  const auto summaries = summarize(catalog);
+  ASSERT_EQ(summaries.size(), 1u);
+  EXPECT_EQ(summaries[0].visited_plmns,
+            (std::vector<cellnet::Plmn>{{204, 4}, {204, 8}, {208, 10}, {214, 7}, {228, 1},
+                                        {262, 1}}));
+  EXPECT_EQ(summaries[0].apns,
+            (std::vector<std::string>{"alpha.example", "beta", "delta.example",
+                                      "gamma.example", "m2m.fleet-telemetry.example.io",
+                                      "zeta.example"}));
+}
+
+void expect_same_record(const records::DailyDeviceRecord& a,
+                        const records::DailyDeviceRecord& b) {
+  EXPECT_EQ(a.device, b.device);
+  EXPECT_EQ(a.day, b.day);
+  EXPECT_EQ(a.sim_plmn, b.sim_plmn);
+  EXPECT_EQ(a.visited_plmns, b.visited_plmns);
+  EXPECT_EQ(a.signaling_events, b.signaling_events);
+  EXPECT_EQ(a.failed_events, b.failed_events);
+  EXPECT_EQ(a.calls, b.calls);
+  EXPECT_EQ(a.call_seconds, b.call_seconds);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.apns, b.apns);
+  EXPECT_EQ(a.tac, b.tac);
+  EXPECT_EQ(a.radio_flags, b.radio_flags);
+  EXPECT_EQ(a.data_rats, b.data_rats);
+  EXPECT_EQ(a.voice_rats, b.voice_rats);
+  EXPECT_EQ(a.centroid, b.centroid);
+  EXPECT_EQ(a.gyration_m, b.gyration_m);
+  EXPECT_EQ(a.has_position, b.has_position);
+}
+
+void expect_same_summary(const DeviceSummary& a, const DeviceSummary& b) {
+  EXPECT_EQ(a.device, b.device);
+  EXPECT_EQ(a.sim_plmn, b.sim_plmn);
+  EXPECT_EQ(a.visited_plmns, b.visited_plmns);
+  EXPECT_EQ(a.apns, b.apns);
+  EXPECT_EQ(a.tac, b.tac);
+  EXPECT_EQ(a.active_days, b.active_days);
+  EXPECT_EQ(a.first_day, b.first_day);
+  EXPECT_EQ(a.last_day, b.last_day);
+  EXPECT_EQ(a.signaling_events, b.signaling_events);
+  EXPECT_EQ(a.failed_events, b.failed_events);
+  EXPECT_EQ(a.calls, b.calls);
+  EXPECT_EQ(a.call_seconds, b.call_seconds);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.radio_flags, b.radio_flags);
+  EXPECT_EQ(a.data_rats, b.data_rats);
+  EXPECT_EQ(a.voice_rats, b.voice_rats);
+  EXPECT_EQ(a.mean_daily_gyration_m, b.mean_daily_gyration_m);
+  EXPECT_EQ(a.has_position, b.has_position);
+}
+
+struct Dwell {
+  signaling::DeviceHash device;
+  std::int32_t day;
+  cellnet::GeoPoint location;
+  double seconds;
+};
+using AnyRecord = std::variant<signaling::SignalingTransaction, records::Cdr, records::Xdr, Dwell>;
+
+void feed(CatalogAccumulator& acc, const AnyRecord& record) {
+  if (const auto* t = std::get_if<signaling::SignalingTransaction>(&record)) {
+    acc.on_signaling(*t, true);
+  } else if (const auto* c = std::get_if<records::Cdr>(&record)) {
+    acc.on_cdr(*c);
+  } else if (const auto* x = std::get_if<records::Xdr>(&record)) {
+    acc.on_xdr(*x);
+  } else {
+    const auto& d = std::get<Dwell>(record);
+    acc.on_dwell(d.device, d.day, kObserver, d.location, d.seconds);
+  }
+}
+
+/// Wakes of several devices over three days, each wake's records back to
+/// back, with sums whose floating-point value depends on the order added.
+std::vector<AnyRecord> interleaved_stream() {
+  std::vector<AnyRecord> stream;
+  for (int step = 0; step < 60; ++step) {
+    const signaling::DeviceHash device = 50 + static_cast<signaling::DeviceHash>(step % 7);
+    const std::int32_t day = (step / 7) % 3;
+    const stats::SimTime time = day * stats::kSecondsPerDay + 60 * step;
+    const cellnet::Plmn sim = device % 2 == 0 ? kMvno : kForeign;
+    auto t = txn(device, time, sim, kObserver,
+                 step % 5 == 0 ? signaling::ResultCode::kNetworkFailure
+                               : signaling::ResultCode::kOk,
+                 step % 3 == 0 ? cellnet::Rat::kThreeG : cellnet::Rat::kTwoG);
+    t.tac = 35'000'000 + static_cast<cellnet::Tac>(step);
+    stream.emplace_back(t);
+    records::Cdr cdr;
+    cdr.device = device;
+    cdr.time = time + 1;
+    cdr.sim_plmn = sim;
+    cdr.visited_plmn = step % 4 == 0 && sim == kMvno ? kForeign : kObserver;
+    cdr.duration_s = 0.1 * (step + 1);
+    cdr.rat = cellnet::Rat::kThreeG;
+    stream.emplace_back(cdr);
+    stream.emplace_back(xdr(device, time + 2, sim, kObserver,
+                            step % 2 == 0 ? "a.example" : "b.example"));
+    stream.emplace_back(Dwell{device, day, {51.5 + 0.001 * step, -0.1 * step}, 1.0 / (step + 3)});
+  }
+  return stream;
+}
+
+TEST(CatalogAccumulator, FamilyGroupedReplayOrderGivesTheSameCatalog) {
+  // A WTRTRC1 replay delivers records family by family, each family in its
+  // own order. Dwell goes first here, so dwell opens every row before any
+  // SIM-bearing record reaches it.
+  const auto stream = interleaved_stream();
+  auto live = make_accumulator();
+  for (const auto& record : stream) feed(live, record);
+  auto grouped = make_accumulator();
+  for (std::size_t family = std::variant_size_v<AnyRecord>; family-- > 0;) {
+    for (const auto& record : stream) {
+      if (record.index() == family) feed(grouped, record);
+    }
+  }
+  EXPECT_EQ(live.accepted_records(), grouped.accepted_records());
+  const auto a = live.finalize();
+  const auto b = grouped.finalize();
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.size(), 21u);
+  for (std::size_t i = 0; i < a.size(); ++i) expect_same_record(a.records()[i], b.records()[i]);
+}
+
+TEST(CatalogAccumulator, OpeningPartialsDoesNotAllocatePerPartial) {
+  constexpr int kPartials = 10'000;
+  auto acc = make_accumulator();
+  auto signal = txn(0, 0, kForeign, kObserver);
+  auto data = xdr(0, 0, kForeign, kObserver, "m2m.fleet-telemetry.example.io");
+  ASSERT_EQ(data.apn.size(), 30u);
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < kPartials; ++i) {
+    signal.device = data.device = 1'000 + static_cast<signaling::DeviceHash>(i / 4);
+    signal.time = data.time = (i % 4) * stats::kSecondsPerDay + 10;
+    acc.on_signaling(signal, true);
+    acc.on_xdr(data);
+  }
+  const std::uint64_t allocations = g_allocations.load() - before;
+  EXPECT_LT(allocations, kPartials / 100u);
+  EXPECT_EQ(acc.finalize().size(), static_cast<std::size_t>(kPartials));
+}
+
 TEST(DevicesCatalog, IndexAndSpan) {
   records::DevicesCatalog catalog;
   records::DailyDeviceRecord r1;
@@ -156,11 +386,6 @@ TEST(DevicesCatalog, IndexAndSpan) {
   catalog.add(r3);
   EXPECT_EQ(catalog.distinct_devices(), 2u);
   EXPECT_EQ(catalog.day_span(), (std::pair<std::int32_t, std::int32_t>{1, 3}));
-  const auto of_one = catalog.of_device(1);
-  ASSERT_EQ(of_one.size(), 2u);
-  EXPECT_EQ(of_one[0]->day, 1);
-  EXPECT_EQ(of_one[1]->day, 3);
-  EXPECT_TRUE(catalog.of_device(99).empty());
 }
 
 TEST(DailyDeviceRecord, RoamedInternationally) {
@@ -202,6 +427,29 @@ TEST(Summarize, RollsUpAcrossDays) {
   EXPECT_TRUE(s.attached_to(kObserver));
   EXPECT_FALSE(s.attached_to(kForeign));
   EXPECT_EQ(s.tac, 35'000'001u);
+}
+
+TEST(Summarize, UnsortedCatalogRollsUpLikeTheSortedOne) {
+  auto acc = make_accumulator();
+  for (const auto& record : interleaved_stream()) feed(acc, record);
+  const auto sorted = acc.finalize();
+  // The same rows with devices in reverse order, each device's days
+  // ascending.
+  records::DevicesCatalog reversed;
+  const auto& rows = sorted.records();
+  for (std::size_t end = rows.size(); end > 0;) {
+    std::size_t begin = end - 1;
+    while (begin > 0 && rows[begin - 1].device == rows[end - 1].device) --begin;
+    for (std::size_t i = begin; i < end; ++i) reversed.add(rows[i]);
+    end = begin;
+  }
+  ASSERT_NE(reversed.records().front().device, sorted.records().front().device);
+
+  const auto expected = summarize(sorted);
+  const auto got = summarize(reversed);
+  ASSERT_EQ(got.size(), expected.size());
+  ASSERT_EQ(got.size(), 7u);
+  for (std::size_t i = 0; i < got.size(); ++i) expect_same_summary(got[i], expected[i]);
 }
 
 TEST(Summarize, EmptyCatalog) {
