@@ -7,8 +7,8 @@
 // times — threads=1, threads=K, and interrupted+resumed through a
 // mid-horizon checkpoint — streaming into a hashing sink instead of a
 // catalog. All three record streams must hash identically; the sweep
-// emits population_<N>_* manifest keys plus headline records_per_s and
-// bytes_per_agent from the largest population.
+// emits population_<N>_* manifest keys plus headline records_per_s (the
+// threads=1 rate) and bytes_per_agent from the largest population.
 
 #include "bench_common.hpp"
 
@@ -156,14 +156,6 @@ SweepLeg run_leg(std::size_t devices, unsigned threads,
   config.threads = threads;
   config.build_coverage = false;  // the sweep measures the engine, not analyses
   config.ckpt = ckpt;
-  // Sharded windows buffer their records until the merge barrier; without a
-  // boundary the single window spans the whole horizon, which at 1M agents
-  // is tens of GB of buffered records. A daily cadence bounds residency;
-  // with no snapshot path set it writes nothing, and window boundaries
-  // never change output bytes.
-  if (threads > 1 && config.ckpt.every_sim_hours == 0) {
-    config.ckpt.every_sim_hours = 24;
-  }
 
   SweepLeg leg;
   const auto build_start = std::chrono::steady_clock::now();
@@ -194,8 +186,9 @@ std::string hash_hex(std::uint64_t hash) {
 }
 
 /// Run the scale sweep, printing one table and adding population_<N>_*
-/// keys (plus headline records_per_s / bytes_per_agent from the largest
-/// population). Returns false if any determinism guard tripped.
+/// keys (plus headline records_per_s — the threads=1 rate — and
+/// bytes_per_agent from the largest population). Returns false if any
+/// determinism guard tripped.
 bool run_population_sweep(obs::RunManifest& manifest) {
   const auto populations = sweep_populations();
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -254,7 +247,7 @@ bool run_population_sweep(obs::RunManifest& manifest) {
     manifest.add_result(prefix + "hash", hash_hex(base.hash));
     if (population >= largest) {
       largest = population;
-      manifest.add_result("records_per_s", std::max(rate_t1, rate_tn));
+      manifest.add_result("records_per_s", rate_t1);
       manifest.add_result("bytes_per_agent", bytes_per_agent);
     }
   }

@@ -11,11 +11,12 @@
 #     tests) then re-runs as its own serial lane so kill timing isn't
 #     skewed by parallel load.
 #  2. Thread-sanitizer gate — a second sanitizer tree (TSan cannot be
-#     combined with ASan) building the sharded-engine determinism suite and
-#     the golden scenario suite and running both under TSan: the shard loops
-#     run on real threads there, so any data race in the parallel engine —
-#     or on the world tables every shard reads (per-country operator index,
-#     steering preferences) — fails the gate. The storm lane
+#     combined with ASan) building the sharded-engine determinism suite, the
+#     per-shard record log's stress suite and the golden scenario suite and
+#     running them under TSan: the shard loops and the merge that drains
+#     their logs run on real threads there, so any data race in the parallel
+#     engine — or on the world tables every shard reads (per-country
+#     operator index, steering preferences) — fails the gate. The storm lane
 #     rides this tree: the closed-loop congestion suite (shard-private
 #     ledgers merging at engine barriers) runs under TSan too, then the
 #     ASan tree drives kill injection through an overload window
@@ -81,13 +82,17 @@ cmake -B "$tsan_dir" -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$tsan_dir" -j "$(nproc)" --target test_parallel_engine test_congestion \
-  test_scenario_determinism
+  test_scenario_determinism test_record_buffer
 
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_parallel_engine"
+# The per-shard record log on its own: a producer thread streaming 200k
+# wakes against a consumer that replays them meanwhile and stalls now and
+# then, so the bound, the blocking waits and chunk reuse all run under TSan.
+TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_record_buffer"
 # Golden scenario bytes (threads=1 and threads=4 pin the same value) with
 # shard threads reading the shared per-country index and steering tables.
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_scenario_determinism"
-echo "check.sh: sharded engine race-free under TSan (parallel engine + golden scenarios)"
+echo "check.sh: sharded engine race-free under TSan (parallel engine + record log + golden scenarios)"
 
 # --- Storm lane -------------------------------------------------------------
 # The congestion model's shard-private attempt ledgers merge on the engine's

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <deque>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "ckpt/shutdown.hpp"
@@ -33,7 +35,7 @@ double seconds_since(Clock::time_point start) {
 }  // namespace
 
 /// Everything one shard owns: its outcome policy and congestion ledger,
-/// and — with K > 1 shards — its event queue, its record arena and a
+/// and — with K > 1 shards — its event queue, its record log and a
 /// private metrics registry, so shard windows never touch shared state.
 struct Engine::Shard {
   /// `private_metrics` points the policy's counters at `metrics` (merged at
@@ -57,13 +59,54 @@ struct Engine::Shard {
   /// is the sole writer of `track`; barriers quiesce it before any read.
   obs::FlightRecorder* trace = nullptr;
   std::uint32_t track = 0;
-  /// Wall seconds this shard spent inside its window loops: cumulative and
-  /// for the last window (the per-window spread feeds the skew metric).
+  /// Wall seconds this shard spent stepping agents in its window loops, not
+  /// counting waits on a full record log: cumulative and for the last
+  /// window (the per-window spread feeds the skew metric).
   double busy_s = 0.0;
   double window_busy_s = 0.0;
+  /// Recorder time at which the shard finished its last window.
+  std::int64_t window_end_ns = 0;
   /// Largest shard-queue depth seen at window entry.
   std::uint64_t queue_hwm = 0;
 };
+
+namespace {
+
+/// Stop every shard after the merge gave up on a window: release shards
+/// waiting on a full log, then wait for all of them, so nothing still runs
+/// when the shards are destroyed. The merge's own exception is the one
+/// rethrown, so a shard's is dropped here.
+template <typename Shards>
+void abandon_shards(Shards& shards, util::ThreadPool& pool) noexcept {
+  for (auto& shard : shards) shard.buffer.abandon();
+  try {
+    pool.wait();
+  } catch (...) {
+  }
+}
+
+/// The merge's step for a wake of `agent` from shard `s`: wait until the
+/// shard has published it, check it is `agent`'s, replay its records into
+/// `out` and return the agent's next wake (RecordBuffer::kNoNextWake when it
+/// has none). Nullopt when the shard failed instead; the pool rethrows its
+/// error at the barrier.
+std::optional<stats::SimTime> replay_logged_wake(RecordBuffer& log, std::size_t s,
+                                                 AgentIndex agent, RecordSink& out) {
+  if (!log.wait_for_wake()) {
+    if (log.failed()) return std::nullopt;
+    throw std::logic_error("sim::Engine::run: shard " + std::to_string(s) +
+                           " finished its window without a wake for agent " +
+                           std::to_string(agent));
+  }
+  if (const AgentIndex logged = log.peek_agent(); logged != agent) {
+    throw std::logic_error("sim::Engine::run: shard " + std::to_string(s) +
+                           " published a wake of agent " + std::to_string(logged) +
+                           " where the merge popped agent " + std::to_string(agent));
+  }
+  return log.replay_wake(out);
+}
+
+}  // namespace
 
 Engine::Engine(const topology::World& world, Config config)
     : world_(world), config_(config), selector_(world), rng_(config.seed) {
@@ -145,7 +188,7 @@ void Engine::beat(const char* phase, stats::SimTime sim_now, bool force) {
 }
 
 void Engine::write_checkpoint(stats::SimTime resume_time,
-                              const std::vector<Shard>& shards) {
+                              const std::deque<Shard>& shards) {
   if (config_.checkpoint_path.empty()) return;
   const auto start = Clock::now();
 
@@ -335,24 +378,26 @@ void Engine::run(std::vector<RecordSink*> sinks) {
   const std::size_t shard_count = std::min<std::size_t>(
       std::max(1u, config_.threads), std::max<std::size_t>(1, arena_.size()));
   const bool sharded = shard_count > 1;
-  std::vector<Shard> shards;
-  shards.reserve(shard_count);  // no reallocation: policies hold member addresses
+  std::deque<Shard> shards;  // never relocates: policies hold member addresses
   for (std::size_t s = 0; s < shard_count; ++s) {
     shards.emplace_back(config_, /*private_metrics=*/sharded);
     shards.back().trace = trace_.get();
     shards.back().track = obs::FlightRecorder::shard_track(s);
   }
+  // Declared after `shards`, so it joins its workers before they go.
+  std::optional<util::ThreadPool> pool;
   if (sharded) {
     // Each shard queue takes its agents' pending wakes in global pop order,
     // so two same-time wakes keep their global relative order inside a
-    // shard — what lets the replay walk each buffer with one cursor.
+    // shard — what lets the merge read each shard's log front to back.
     for (auto& shard : shards) shard.queue.reserve(queue_.size() / shard_count + 1);
     for (const Event& event : queue_.snapshot_events()) {
       shards[event.agent % shard_count].queue.schedule(event.time, event.agent);
     }
+    // One worker per shard: a shard waiting on a full log must never keep
+    // another from starting, or the merge could wait on that one forever.
+    pool.emplace(shard_count);
   }
-  util::ThreadPool pool(sharded ? shard_count : 0);
-  std::vector<RecordBuffer::Cursor> cursors(shard_count);
 
   AgentContext ctx;
   ctx.world = &world_;
@@ -394,12 +439,16 @@ void Engine::run(std::vector<RecordSink*> sinks) {
     }
     if (stop_time >= 0) stop = std::min(stop, stop_time);
 
-    if (sharded) run_shard_windows(shards, pool, stop);
-
-    // --- Global pop loop ---------------------------------------------------
-    // With K > 1 shards each popped wake replays its shard's buffered
-    // records and re-schedules its recorded next wake, which reproduces the
+    // --- Shard windows and the global pop loop -----------------------------
+    // With K > 1 the shards run the window on the pool while the pop loop
+    // merges their logs; the barrier waits for all of them. Each popped wake
+    // waits until its shard has published it, replays the shard's logged
+    // records and re-schedules the recorded next wake, which reproduces the
     // single-shard (time, seq) order without re-running any agent.
+    obs::TraceSpan fanout_span(sharded ? rec : nullptr, kTrack, obs::TraceCat::kMerge,
+                               "shard_fanout");
+    const std::int64_t fanout_start_ns = sharded && rec != nullptr ? rec->now_ns() : 0;
+
     const auto loop_start = sharded ? Clock::now() : Clock::time_point{};
     obs::TraceSpan loop_span(rec, kTrack,
                              sharded ? obs::TraceCat::kMerge : obs::TraceCat::kEngine,
@@ -409,47 +458,103 @@ void Engine::run(std::vector<RecordSink*> sinks) {
       queue_depth_hwm_ = queue_.size();
     }
     bool shutdown_hit = false;
-    while (!queue_.empty() && *queue_.next_time() <= stop) {
-      if (stop_between_wakes && ckpt::shutdown_requested()) {
-        shutdown_hit = true;
-        break;
-      }
-      const Event event = queue_.pop();
-      ++wakes_;
-      last_time_ = event.time;
-      if (probe != nullptr && probe->due(event.time)) {
-        // +1: the popped event is still in flight at the sample instant.
-        probe->on_tick(event.time, queue_.size() + 1, wakes_);
-      }
-      if (rec != nullptr && (wakes_ & kTraceWakeMask) == 0) {
-        rec->instant(kTrack, obs::TraceCat::kEngine, "wake_batch", "wakes",
-                     static_cast<std::int64_t>(wakes_), "queue",
-                     static_cast<std::int64_t>(queue_.size()));
-        if (queue_.size() > queue_depth_hwm_) queue_depth_hwm_ = queue_.size();
-      }
-      if (beating && (wakes_ & kBeatWakeMask) == 0) {
-        beat("run", event.time);
-      }
+    bool shard_failed = false;
+    try {
       if (sharded) {
-        const std::size_t s = event.agent % shard_count;
-        assert(shards[s].buffer.peek_agent(cursors[s]) == event.agent);
-        const stats::SimTime next = shards[s].buffer.replay_wake(cursors[s], fanout);
-        if (next != RecordBuffer::kNoNextWake) queue_.schedule(next, event.agent);
-      } else if (const auto next = arena_.agent(event.agent).on_wake(event.time, ctx)) {
-        queue_.schedule(*next, event.agent);
+        for (auto& shard : shards) {
+          shard.buffer.open_window();
+          pool->submit([this, &shard, stop] {
+            try {
+              run_shard_window(shard, stop);
+            } catch (...) {
+              shard.buffer.close_failed();
+              throw;
+            }
+          });
+        }
       }
+      while (!queue_.empty() && *queue_.next_time() <= stop) {
+        if (stop_between_wakes && ckpt::shutdown_requested()) {
+          shutdown_hit = true;
+          break;
+        }
+        const Event event = queue_.pop();
+        ++wakes_;
+        last_time_ = event.time;
+        if (probe != nullptr && probe->due(event.time)) {
+          // +1: the popped event is still in flight at the sample instant.
+          probe->on_tick(event.time, queue_.size() + 1, wakes_);
+        }
+        if (rec != nullptr && (wakes_ & kTraceWakeMask) == 0) {
+          rec->instant(kTrack, obs::TraceCat::kEngine, "wake_batch", "wakes",
+                       static_cast<std::int64_t>(wakes_), "queue",
+                       static_cast<std::int64_t>(queue_.size()));
+          if (queue_.size() > queue_depth_hwm_) queue_depth_hwm_ = queue_.size();
+        }
+        if (beating && (wakes_ & kBeatWakeMask) == 0) {
+          beat("run", event.time);
+        }
+        if (sharded) {
+          const std::size_t s = event.agent % shard_count;
+          const auto next = replay_logged_wake(shards[s].buffer, s, event.agent, fanout);
+          if (!next) {
+            shard_failed = true;
+            break;
+          }
+          if (*next != RecordBuffer::kNoNextWake) queue_.schedule(*next, event.agent);
+        } else if (const auto next = arena_.agent(event.agent).on_wake(event.time, ctx)) {
+          queue_.schedule(*next, event.agent);
+        }
+      }
+    } catch (...) {
+      // A sink or an invariant check threw on this thread: shards may be
+      // waiting on full logs, so release and drain them before unwinding.
+      if (sharded) abandon_shards(shards, *pool);
+      throw;
     }
     loop_span.set_args("wakes", static_cast<std::int64_t>(wakes_ - window_wakes_before),
                        "sim_stop", stop);
     loop_span.close();
     if (sharded) {
       merge_wall_s_ += seconds_since(loop_start);
+      // A failed shard stopped the merge early: release the others, then
+      // let the pool rethrow the failure.
+      if (shard_failed) {
+        for (auto& shard : shards) shard.buffer.abandon();
+      }
+      pool->wait();
+      if (shard_failed) {
+        throw std::logic_error("sim::Engine::run: a shard closed its log as failed "
+                               "without raising an error");
+      }
       for (std::size_t s = 0; s < shard_count; ++s) {
         // Every wake a shard processed this window was replayed exactly once.
-        assert(cursors[s].wake == shards[s].buffer.wake_count());
-        shards[s].buffer.clear();
-        cursors[s] = RecordBuffer::Cursor{};
+        const RecordBuffer& log = shards[s].buffer;
+        if (log.consumed_wakes() != log.published_wakes()) {
+          throw std::logic_error(
+              "sim::Engine::run: shard " + std::to_string(s) + " published " +
+              std::to_string(log.published_wakes()) + " wakes but the merge replayed " +
+              std::to_string(log.consumed_wakes()));
+        }
       }
+      if (rec != nullptr) {
+        // The pool barrier just quiesced the workers, so their telemetry is
+        // safe to read: the skew is how much longer the busiest shard worked
+        // than the idlest this window, the window wall runs from the submit
+        // to the last shard's finish.
+        const auto [lo, hi] = std::minmax_element(
+            shards.begin(), shards.end(), [](const Shard& a, const Shard& b) {
+              return a.window_busy_s < b.window_busy_s;
+            });
+        merge_wait_skew_s_ += hi->window_busy_s - lo->window_busy_s;
+        std::int64_t last_end_ns = fanout_start_ns;
+        for (const auto& shard : shards) {
+          last_end_ns = std::max(last_end_ns, shard.window_end_ns);
+        }
+        window_wall_s_ += static_cast<double>(last_end_ns - fanout_start_ns) * 1e-9;
+      }
+      fanout_span.set_args("sim_stop", stop);
+      fanout_span.close();
     }
 
     // --- Barrier -----------------------------------------------------------
@@ -491,14 +596,12 @@ void Engine::run(std::vector<RecordSink*> sinks) {
     if (probe != nullptr) probe->end_run(last_time_, queue_.size(), wakes_);
   }
   wheel_rebases_ = queue_.rebases();
-  for (const auto& shard : shards) {
-    wheel_rebases_ += shard.queue.rebases();
-    record_buffer_peak_bytes_ += shard.buffer.resident_bytes();
-  }
+  for (const auto& shard : shards) wheel_rebases_ += shard.queue.rebases();
   if (sharded) {
     shard_wakes_.resize(shard_count);
     for (std::size_t s = 0; s < shard_count; ++s) {
       shard_wakes_[s] = shards[s].wakes;
+      record_buffer_peak_bytes_ += shards[s].buffer.resident_bytes();
       if (config_.metrics != nullptr) config_.metrics->merge_from(shards[s].metrics);
     }
     if (rec != nullptr) {
@@ -516,30 +619,6 @@ void Engine::run(std::vector<RecordSink*> sinks) {
   finish_telemetry();
 }
 
-void Engine::run_shard_windows(std::vector<Shard>& shards, util::ThreadPool& pool,
-                               stats::SimTime stop) {
-  obs::FlightRecorder* rec = trace_.get();
-  obs::TraceSpan fanout_span(rec, obs::FlightRecorder::kEngineTrack,
-                             obs::TraceCat::kMerge, "shard_fanout");
-  const auto start = rec != nullptr ? Clock::now() : Clock::time_point{};
-  for (auto& shard : shards) {
-    pool.submit([this, &shard, stop] { run_shard_window(shard, stop); });
-  }
-  pool.wait();
-  if (rec != nullptr) {
-    // The pool barrier just quiesced the workers, so their busy counters
-    // are safe to read: the skew is how long the fastest shard sat idle
-    // waiting for the slowest this window.
-    const auto [lo, hi] = std::minmax_element(
-        shards.begin(), shards.end(), [](const Shard& a, const Shard& b) {
-          return a.window_busy_s < b.window_busy_s;
-        });
-    merge_wait_skew_s_ += hi->window_busy_s - lo->window_busy_s;
-    window_wall_s_ += seconds_since(start);
-  }
-  fanout_span.set_args("sim_stop", stop);
-}
-
 void Engine::run_shard_window(Shard& shard, stats::SimTime stop) {
   AgentContext ctx;
   ctx.world = &world_;
@@ -548,7 +627,7 @@ void Engine::run_shard_window(Shard& shard, stats::SimTime stop) {
   ctx.sink = &shard.buffer;
 
   // Shard-thread-side telemetry: this thread is the sole writer of
-  // shard.track and of the shard's busy/hwm fields; the pool barrier
+  // shard.track and of the shard's busy/end/hwm fields; the pool barrier
   // publishes them to the calling thread.
   const std::int64_t t0 = shard.trace != nullptr ? shard.trace->now_ns() : 0;
   const std::uint64_t wakes_before = shard.wakes;
@@ -557,16 +636,27 @@ void Engine::run_shard_window(Shard& shard, stats::SimTime stop) {
     shard.queue_hwm = queue.size();
   }
 
+  RecordBuffer& log = shard.buffer;
+  std::int64_t waited_ns = 0;
   while (!queue.empty() && *queue.next_time() <= stop) {
     const Event event = queue.pop();
     ++shard.wakes;
     // Shards partition agents by index, so hydration targets disjoint
     // arena slots — no synchronization needed.
     auto& agent = arena_.agent(event.agent);
+    log.begin_wake(event.agent);
     const auto next = agent.on_wake(event.time, ctx);
-    shard.buffer.end_wake(event.agent, next ? *next : RecordBuffer::kNoNextWake);
+    log.end_wake(next ? *next : RecordBuffer::kNoNextWake);
     if (next) queue.schedule(*next, event.agent);
+    if (log.over_bound()) {
+      // Too far ahead of the merge: wait at this wake boundary. False means
+      // the merge gave up on the run.
+      const std::int64_t w0 = shard.trace != nullptr ? shard.trace->now_ns() : 0;
+      if (!log.make_room()) return;
+      if (shard.trace != nullptr) waited_ns += shard.trace->now_ns() - w0;
+    }
   }
+  log.finish_window();
 
   if (shard.trace != nullptr) {
     const std::int64_t t1 = shard.trace->now_ns();
@@ -574,8 +664,9 @@ void Engine::run_shard_window(Shard& shard, stats::SimTime stop) {
                           t0, t1 - t0, "wakes",
                           static_cast<std::int64_t>(shard.wakes - wakes_before),
                           "sim_stop", stop);
-    shard.window_busy_s = static_cast<double>(t1 - t0) * 1e-9;
+    shard.window_busy_s = static_cast<double>(t1 - t0 - waited_ns) * 1e-9;
     shard.busy_s += shard.window_busy_s;
+    shard.window_end_ns = t1;
   }
 }
 
@@ -592,7 +683,7 @@ void Engine::finish_telemetry() {
     m.gauge("trace.queue_depth_hwm").set(static_cast<double>(queue_depth_hwm_));
     m.gauge("trace.merge_wait_skew_s").set(merge_wait_skew_s_);
     // Wheel/arena internals are thread-count-dependent (per-shard queues
-    // rebase independently; record arenas exist only when sharded), so they
+    // rebase independently; record logs exist only when sharded), so they
     // live in the quarantined trace.* namespace like the other
     // wall-clock-adjacent values.
     m.gauge("trace.wheel_rebases").set(static_cast<double>(wheel_rebases_));

@@ -11,14 +11,17 @@
 // horizon boundary; one global pop loop then walks `queue_` in (time, seq)
 // order through the window; a barrier ends it (congestion absorb and roll,
 // stop/shutdown, cadence checkpoint). With K = 1 the global loop steps each
-// popped agent straight into the sinks. With K > 1 the shards first run the
-// window on a thread pool, each buffering its records into a RecordBuffer,
-// and the global loop replays each buffered wake instead of stepping the
-// agent — so threads=N output is byte-identical to threads=1 for every
-// sink, scenario and fault schedule. Agents never interact (each owns a
-// forked RNG; World, NetworkSelector and OutcomePolicy are consulted
-// read-only), which is what makes the shard windows embarrassingly parallel.
+// popped agent straight into the sinks. With K > 1 each shard runs the
+// window on its own pool worker, logging its records into a bounded
+// RecordBuffer and publishing every wake as it finishes it, while the
+// global loop on the calling thread replays each published wake instead of
+// stepping the agent — so the merge streams alongside the shards, and
+// threads=N output is byte-identical to threads=1 for every sink, scenario
+// and fault schedule. Agents never interact (each owns a forked RNG; World,
+// NetworkSelector and OutcomePolicy are consulted read-only), which is what
+// makes the shard windows embarrassingly parallel.
 
+#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -30,10 +33,6 @@
 #include "sim/agent_arena.hpp"
 #include "sim/device_agent.hpp"
 #include "sim/event_queue.hpp"
-
-namespace wtr::util {
-class ThreadPool;
-}  // namespace wtr::util
 
 namespace wtr::obs {
 class EngineProbe;
@@ -107,9 +106,10 @@ class Engine {
     std::int32_t horizon_days = 22;
     signaling::OutcomePolicyConfig outcomes{};
     /// Shard count K. 1 (the default) steps every agent on the calling
-    /// thread; K > 1 runs K shard windows on a thread pool and replays them
-    /// deterministically — the output stays byte-identical to threads=1.
-    /// Values above the agent count are clamped.
+    /// thread; K > 1 runs K shard windows on K pool workers while the
+    /// calling thread replays their logged wakes deterministically — the
+    /// output stays byte-identical to threads=1. Values above the agent
+    /// count are clamped.
     unsigned threads = 1;
     /// Optional fault-injection schedule consulted by the outcome policy.
     /// Not owned — must outlive the engine. Null or empty leaves the run
@@ -247,8 +247,9 @@ class Engine {
   [[nodiscard]] const std::vector<std::uint64_t>& shard_wakes() const noexcept {
     return shard_wakes_;
   }
-  /// Wall time the global pop loop spent replaying shard buffers (0 for
-  /// threads=1, where nothing is buffered).
+  /// Wall time of the global pop loop replaying shard logs, its waits for
+  /// unpublished wakes included (0 for threads=1, where nothing is logged).
+  /// It overlaps window_wall_s(): the merge runs while the shards do.
   [[nodiscard]] double merge_wall_s() const noexcept { return merge_wall_s_; }
 
   /// True when the last run() returned early — graceful shutdown request
@@ -272,15 +273,19 @@ class Engine {
 
   // --- shard-balance telemetry (tracing-enabled runs only; all zero when
   // --- the recorder is off, since deriving them costs clock reads) --------
-  /// Wall seconds each shard spent inside its window loops (empty for
-  /// threads=1 or untraced runs).
+  // The shard windows and the merge run at the same time, so these overlap
+  // merge_wall_s() instead of adding to it.
+  /// Wall seconds each shard spent stepping agents in its window loops,
+  /// not counting waits on a full record log (empty for threads=1 or
+  /// untraced runs).
   [[nodiscard]] const std::vector<double>& shard_busy_s() const noexcept {
     return shard_busy_s_;
   }
-  /// Wall seconds spent with shard windows in flight (fan-out to barrier).
+  /// Wall seconds from submitting the shard windows until the last shard
+  /// finished, summed over windows.
   [[nodiscard]] double window_wall_s() const noexcept { return window_wall_s_; }
-  /// Sum over windows of (slowest shard busy - fastest shard busy): the
-  /// wall time the barrier spent waiting on stragglers.
+  /// Sum over windows of (busiest shard busy - idlest shard busy): how
+  /// unevenly the work split across shards.
   [[nodiscard]] double merge_wait_skew_s() const noexcept { return merge_wait_skew_s_; }
   /// High-water mark of event-queue depth observed at sampling points.
   [[nodiscard]] std::uint64_t queue_depth_hwm() const noexcept { return queue_depth_hwm_; }
@@ -288,10 +293,9 @@ class Engine {
  private:
   struct Shard;
 
-  /// K > 1 only: run every shard's window up to `stop` on the pool, each
-  /// buffering its records, and return once all of them are quiesced.
-  void run_shard_windows(std::vector<Shard>& shards, util::ThreadPool& pool,
-                         stats::SimTime stop);
+  /// K > 1 only, on a pool worker: run one shard's window up to `stop`,
+  /// logging its records for the merge running meanwhile on the calling
+  /// thread.
   void run_shard_window(Shard& shard, stats::SimTime stop);
   void finish_run_metrics();
   /// Rate-limited heartbeat write (no-op when no heartbeat is configured).
@@ -308,7 +312,7 @@ class Engine {
   /// atomically to Config::checkpoint_path (no-op when the path is empty).
   /// The metrics persisted are the main registry plus, with K > 1 shards,
   /// every shard's private delta so far.
-  void write_checkpoint(stats::SimTime resume_time, const std::vector<Shard>& shards);
+  void write_checkpoint(stats::SimTime resume_time, const std::deque<Shard>& shards);
 
   const topology::World& world_;
   Config config_;
@@ -344,7 +348,9 @@ class Engine {
   double merge_wait_skew_s_ = 0.0;
   std::uint64_t queue_depth_hwm_ = 0;
   /// Timing-wheel / arena telemetry collected at end of run (global queue
-  /// plus shard queues); published as quarantined trace.* gauges only.
+  /// plus shard queues; record-log bytes are the chunks held at the high-
+  /// water mark, summed over shards); published as quarantined trace.*
+  /// gauges only.
   std::uint64_t wheel_rebases_ = 0;
   std::uint64_t record_buffer_peak_bytes_ = 0;
   stats::SimTime last_checkpoint_time_ = -1;

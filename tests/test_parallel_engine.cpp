@@ -13,12 +13,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <unordered_map>
 
 #include "obs/observability.hpp"
 #include "obs/run_manifest.hpp"
+#include "sim/record_buffer.hpp"
 #include "stats/sim_time.hpp"
 #include "tracegen/m2m_platform_scenario.hpp"
 #include "tracegen/mno_scenario.hpp"
@@ -288,6 +294,172 @@ TEST(ParallelEngine, ThreadsClampToAgentCount) {
   StreamSerializer sink;
   scenario.run({&sink});
   EXPECT_LE(scenario.engine().shards_used(), scenario.engine().agent_count());
+}
+
+// --- failures and the record-log bound ----------------------------------------
+
+/// Throws from the merge thread on its `throw_at`-th record, after a pause
+/// long enough for every shard to run ahead and block on a full log.
+class ThrowingSink final : public sim::RecordSink {
+ public:
+  explicit ThrowingSink(std::uint64_t throw_at) : throw_at_(throw_at) {}
+  void on_signaling(const signaling::SignalingTransaction&, bool) override { tick(); }
+  void on_cdr(const records::Cdr&) override { tick(); }
+  void on_xdr(const records::Xdr&) override { tick(); }
+  void on_dwell(signaling::DeviceHash, std::int32_t, cellnet::Plmn,
+                const cellnet::GeoPoint&, double) override {
+    tick();
+  }
+
+ private:
+  void tick() {
+    if (++records_ == throw_at_) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      throw std::runtime_error("sink failed mid-run");
+    }
+  }
+  std::uint64_t throw_at_;
+  std::uint64_t records_ = 0;
+};
+
+TEST(ParallelEngine, SinkThrowingMidRunIsRethrown) {
+  for (const unsigned threads : {2u, 4u}) {
+    // Cadence 0 runs one whole-horizon window, so the shards are far past
+    // the log bound and waiting when the sink throws; a daily cadence
+    // throws inside the first of many windows.
+    for (const std::int64_t cadence_hours : {std::int64_t{0}, std::int64_t{24}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " cadence=" + std::to_string(cadence_hours));
+      tracegen::MnoScenarioConfig config;
+      config.seed = 42;
+      config.total_devices = 600;
+      config.threads = threads;
+      config.build_coverage = false;
+      config.ckpt.every_sim_hours = cadence_hours;  // no path: nothing written
+      tracegen::MnoScenario scenario{config};
+      ThrowingSink sink(1000);
+      try {
+        scenario.run({&sink});
+        ADD_FAILURE() << "run() returned despite the throwing sink";
+      } catch (const std::runtime_error& error) {
+        EXPECT_STREQ(error.what(), "sink failed mid-run");
+      }
+    }
+    // Nothing of the failed runs leaks into a fresh one.
+    EXPECT_EQ(run_mno(1).stream, run_mno(threads).stream);
+  }
+}
+
+/// FNV-1a-64 over every record field in stream order, plus a record count
+/// per shard (agent index modulo the shard count) for the bound check.
+class ShardCountingHash final : public sim::RecordSink {
+ public:
+  ShardCountingHash(const sim::Engine& engine, std::size_t shards)
+      : per_shard(shards, 0) {
+    for (std::size_t i = 0; i < engine.agent_count(); ++i) {
+      shard_of_.emplace(engine.device(i).id, i % shards);
+    }
+  }
+  std::uint64_t hash = 14695981039346656037ull;
+  std::vector<std::uint64_t> per_shard;
+
+  void on_signaling(const signaling::SignalingTransaction& txn,
+                    bool data_context) override {
+    count(txn.device);
+    for (auto v : {txn.device, static_cast<std::uint64_t>(txn.time),
+                   std::uint64_t{txn.sim_plmn.key()}, std::uint64_t{txn.visited_plmn.key()},
+                   static_cast<std::uint64_t>(txn.procedure),
+                   static_cast<std::uint64_t>(txn.result),
+                   static_cast<std::uint64_t>(txn.rat), std::uint64_t{txn.sector},
+                   std::uint64_t{txn.tac}, std::uint64_t{data_context}}) {
+      mix(v);
+    }
+  }
+  void on_cdr(const records::Cdr& cdr) override {
+    count(cdr.device);
+    for (auto v : {cdr.device, static_cast<std::uint64_t>(cdr.time),
+                   std::uint64_t{cdr.sim_plmn.key()}, std::uint64_t{cdr.visited_plmn.key()},
+                   std::bit_cast<std::uint64_t>(cdr.duration_s),
+                   static_cast<std::uint64_t>(cdr.rat)}) {
+      mix(v);
+    }
+  }
+  void on_xdr(const records::Xdr& xdr) override {
+    count(xdr.device);
+    for (auto v : {xdr.device, static_cast<std::uint64_t>(xdr.time),
+                   std::uint64_t{xdr.sim_plmn.key()}, std::uint64_t{xdr.visited_plmn.key()},
+                   xdr.bytes_up, xdr.bytes_down, static_cast<std::uint64_t>(xdr.rat)}) {
+      mix(v);
+    }
+    for (const char c : xdr.apn) mix(static_cast<std::uint8_t>(c));
+  }
+  void on_dwell(signaling::DeviceHash device, std::int32_t day,
+                cellnet::Plmn visited_plmn, const cellnet::GeoPoint& location,
+                double seconds) override {
+    count(device);
+    for (auto v : {device, static_cast<std::uint64_t>(day), std::uint64_t{visited_plmn.key()},
+                   std::bit_cast<std::uint64_t>(location.lat),
+                   std::bit_cast<std::uint64_t>(location.lon),
+                   std::bit_cast<std::uint64_t>(seconds)}) {
+      mix(v);
+    }
+  }
+
+ private:
+  void count(signaling::DeviceHash device) { ++per_shard[shard_of_.at(device)]; }
+  void mix(std::uint64_t v) {
+    hash ^= v;
+    hash *= 1099511628211ull;
+  }
+  std::unordered_map<signaling::DeviceHash, std::size_t> shard_of_;
+};
+
+TEST(ParallelEngine, WholeHorizonWindowKeepsRecordLogsBounded) {
+  // P1's scenario: 4k devices x 22 days with no cadence, so each shard's
+  // single window spans the whole horizon.
+  const auto run = [](unsigned threads, const std::string& trace_path,
+                      std::vector<std::uint64_t>* per_shard, double* peak_bytes) {
+    obs::RunObservation observation;
+    tracegen::MnoScenarioConfig config;
+    config.seed = 101;
+    config.total_devices = 4000;
+    config.threads = threads;
+    config.build_coverage = false;
+    config.obs = observation.view();
+    config.telemetry.trace_path = trace_path;
+    tracegen::MnoScenario scenario{config};
+    ShardCountingHash sink(scenario.engine(), threads);
+    scenario.run({&sink});
+    if (per_shard != nullptr) *per_shard = sink.per_shard;
+    if (peak_bytes != nullptr) {
+      const auto* gauge = observation.metrics().find_gauge("trace.record_buffer_peak_bytes");
+      *peak_bytes = gauge != nullptr ? gauge->value() : -1.0;
+    }
+    return sink.hash;
+  };
+  const auto trace_path =
+      (std::filesystem::temp_directory_path() / "wtr_test_whole_horizon_trace.json")
+          .string();
+  constexpr unsigned kShards = 4;
+  std::vector<std::uint64_t> per_shard;
+  double peak_bytes = 0.0;
+  const auto sharded_hash = run(kShards, trace_path, &per_shard, &peak_bytes);
+  std::filesystem::remove(trace_path);
+  EXPECT_EQ(sharded_hash, run(1, {}, nullptr, nullptr));
+
+  // Each log holds at most its bound: kLeadChunks unreleased chunks at a
+  // wake boundary plus the chunk a wake may overrun into.
+  const double bound =
+      static_cast<double>((sim::RecordBuffer::kLeadChunks + 1) * sim::RecordBuffer::kChunkBytes);
+  EXPECT_GT(peak_bytes, 0.0);
+  EXPECT_LE(peak_bytes, kShards * bound);
+  // A buffer that held the whole window could not pass: even at 16 bytes a
+  // record (its device id and time alone), every shard's window is at least
+  // four times the bound.
+  ASSERT_EQ(per_shard.size(), kShards);
+  for (const auto records : per_shard) {
+    EXPECT_GE(static_cast<double>(records) * 16.0, 4.0 * bound);
+  }
 }
 
 // --- ThreadPool unit tests --------------------------------------------------
