@@ -18,7 +18,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -31,6 +30,7 @@
 #include "core/trace_replay.hpp"
 #include "io/bintrace.hpp"
 #include "obs/trace.hpp"
+#include "sim/stream_digest.hpp"
 #include "stats/distributions.hpp"
 #include "tracegen/mno_scenario.hpp"
 
@@ -102,46 +102,6 @@ PipelineRun run_pipeline_once(unsigned threads, obs::RunObservation& observation
   return run;
 }
 
-/// Byte-exact record-stream capture for the checkpoint guard (doubles via
-/// %a so equality is bit-equality, same as the determinism test suites).
-class GuardStream final : public sim::RecordSink {
- public:
-  std::string stream;
-
-  void on_signaling(const signaling::SignalingTransaction& txn,
-                    bool data_context) override {
-    stream += 'S';
-    for (const auto& field : signaling::to_csv_fields(txn)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += data_context ? '1' : '0';
-  }
-  void on_cdr(const records::Cdr& cdr) override {
-    stream += 'C';
-    for (const auto& field : records::to_csv_fields(cdr)) {
-      stream += field;
-      stream += ',';
-    }
-  }
-  void on_xdr(const records::Xdr& xdr) override {
-    stream += 'X';
-    for (const auto& field : records::to_csv_fields(xdr)) {
-      stream += field;
-      stream += ',';
-    }
-  }
-  void on_dwell(signaling::DeviceHash device, std::int32_t day,
-                cellnet::Plmn visited_plmn, const cellnet::GeoPoint& location,
-                double seconds) override {
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "D%llu,%d,%u,%a,%a,%a",
-                  static_cast<unsigned long long>(device), day, visited_plmn.key(),
-                  location.lat, location.lon, seconds);
-    stream += buf;
-  }
-};
-
 struct CheckpointGuard {
   bool ran = false;
   std::uint64_t checkpoints_written = 0;
@@ -158,7 +118,7 @@ CheckpointGuard run_checkpoint_guard(unsigned threads) {
   const auto ckpt_path =
       (std::filesystem::temp_directory_path() / "wtr_bench_p1_guard_ckpt.bin").string();
 
-  auto one = [&](const tracegen::CheckpointOptions& ckpt, GuardStream& sink) {
+  auto one = [&](const sim::CheckpointOptions& ckpt, sim::StreamDigest& sink) {
     tracegen::MnoScenarioConfig config;
     config.seed = kPipelineSeed;
     config.total_devices = devices;
@@ -176,13 +136,13 @@ CheckpointGuard run_checkpoint_guard(unsigned threads) {
 
   std::cerr << "[bench] checkpoint guard: " << devices
             << " devices, cadence off vs 12h...\n";
-  GuardStream off_sink;
+  sim::StreamDigest off_sink;
   const auto off = one({}, off_sink);
 
-  tracegen::CheckpointOptions cadence;
+  sim::CheckpointOptions cadence;
   cadence.every_sim_hours = 12;
   cadence.path = ckpt_path;
-  GuardStream on_sink;
+  sim::StreamDigest on_sink;
   auto on = one(cadence, on_sink);
   std::filesystem::remove(ckpt_path);
   std::filesystem::remove(ckpt_path + ".tmp");
@@ -199,10 +159,10 @@ CheckpointGuard run_checkpoint_guard(unsigned threads) {
     std::cerr << "[bench] FAIL: cadence-on run wrote no snapshots\n";
     std::exit(1);
   }
-  if (off_sink.stream != on_sink.stream) {
+  if (off_sink != on_sink) {
     std::cerr << "[bench] FAIL: checkpointing changed the record stream ("
-              << off_sink.stream.size() << " vs " << on_sink.stream.size()
-              << " bytes) — snapshot boundaries must not perturb the run\n";
+              << off_sink << " vs " << on_sink
+              << ") — snapshot boundaries must not perturb the run\n";
     std::exit(1);
   }
   std::cerr << "[bench] checkpoint guard: streams bit-identical, "
@@ -223,7 +183,7 @@ struct TraceFormatGuard {
 /// A/B guard for the trace interchange formats at reduced scale: export a
 /// scenario's three record families as CSV, convert that CSV to WTRTRC1
 /// binary, then replay both through the auto-detecting replay_*_trace entry
-/// points into byte-exact capture sinks. The captures must be bit-identical
+/// points into stream digests. The digests must be equal
 /// (exit nonzero otherwise — a correctness gate riding the perf bench), and
 /// the measured walls feed the replay_speedup manifest key.
 TraceFormatGuard run_trace_format_guard() {
@@ -269,22 +229,22 @@ TraceFormatGuard run_trace_format_guard() {
   const std::string xdr_bin = to_binary(xdr, core::replay_xdr_csv);
 
   // Correctness pass (untimed): replay both formats through the
-  // format-sniffing entry points into byte-exact capture sinks.
-  auto capture_replay = [](const std::string& s, const std::string& c,
-                           const std::string& x) {
-    GuardStream sink;
+  // format-sniffing entry points into stream digests.
+  auto digest_replay = [](const std::string& s, const std::string& c,
+                          const std::string& x) {
+    sim::StreamDigest digest;
     std::istringstream si{s}, ci{c}, xi{x};
-    core::replay_signaling_trace(si, sink);
-    core::replay_cdr_trace(ci, sink);
-    core::replay_xdr_trace(xi, sink);
-    return std::move(sink.stream);
+    core::replay_signaling_trace(si, digest);
+    core::replay_cdr_trace(ci, digest);
+    core::replay_xdr_trace(xi, digest);
+    return digest;
   };
-  const std::string csv_capture = capture_replay(sig, cdr, xdr);
-  const std::string bin_capture = capture_replay(sig_bin, cdr_bin, xdr_bin);
+  const auto csv_digest = digest_replay(sig, cdr, xdr);
+  const auto bin_digest = digest_replay(sig_bin, cdr_bin, xdr_bin);
 
   // Timing pass: replay into a sink that only folds each record into a
-  // checksum, so the walls measure the decoders — not a capture sink that
-  // re-formats every record into strings and would dilute the ratio.
+  // checksum, so the walls measure the decoders — not a digest that hashes
+  // every byte of every record and would dilute the ratio.
   struct FoldSink final : sim::RecordSink {
     std::uint64_t fold = 0;
     void on_signaling(const signaling::SignalingTransaction& txn,
@@ -326,10 +286,10 @@ TraceFormatGuard run_trace_format_guard() {
   guard.csv_wall_s = timed_replay(sig, cdr, xdr, fold_csv);
   guard.binary_wall_s = timed_replay(sig_bin, cdr_bin, xdr_bin, fold_bin);
 
-  if (csv_capture != bin_capture || fold_csv != fold_bin) {
+  if (csv_digest != bin_digest || fold_csv != fold_bin) {
     std::cerr << "[bench] FAIL: binary trace replay diverged from CSV replay ("
-              << csv_capture.size() << " vs " << bin_capture.size()
-              << " bytes) — the two interchange formats must reproduce the "
+              << csv_digest << " vs " << bin_digest
+              << ") — the two interchange formats must reproduce the "
               << "same record stream\n";
     std::exit(1);
   }
@@ -370,10 +330,11 @@ TraceOverheadGuard run_trace_overhead_guard(unsigned threads) {
 
   constexpr int kReps = 3;
   TraceOverheadGuard guard;
-  std::string off_stream, on_stream;
+  sim::StreamDigest off_stream, on_stream;
   bool interrupted = false;
 
-  auto arm = [&](const std::string& path, std::string& stream, std::uint64_t& events) {
+  auto arm = [&](const std::string& path, sim::StreamDigest& stream,
+                 std::uint64_t& events) {
     double best = 0.0;
     for (int rep = 0; rep < kReps && !interrupted; ++rep) {
       tracegen::MnoScenarioConfig config;
@@ -382,7 +343,7 @@ TraceOverheadGuard run_trace_overhead_guard(unsigned threads) {
       config.threads = threads;
       config.build_coverage = false;
       config.telemetry.trace_path = path;
-      GuardStream sink;
+      sim::StreamDigest sink;
       const auto start = std::chrono::steady_clock::now();
       tracegen::MnoScenario scenario{config};
       scenario.run({&sink});
@@ -396,9 +357,7 @@ TraceOverheadGuard run_trace_overhead_guard(unsigned threads) {
       if (const auto* rec = scenario.engine().flight_recorder()) {
         events = rec->events_recorded();
       }
-      if (rep == 0) {
-        stream = std::move(sink.stream);
-      }
+      if (rep == 0) stream = sink;
       best = rep == 0 ? wall : std::min(best, wall);
     }
     return best;
@@ -412,9 +371,8 @@ TraceOverheadGuard run_trace_overhead_guard(unsigned threads) {
 
   if (off_stream != on_stream) {
     std::cerr << "[bench] FAIL: enabling the flight recorder changed the "
-              << "record stream (" << off_stream.size() << " vs "
-              << on_stream.size() << " bytes) — tracing must not perturb "
-              << "the simulation\n";
+              << "record stream (" << off_stream << " vs " << on_stream
+              << ") — tracing must not perturb the simulation\n";
     std::exit(1);
   }
   if (guard.trace_events == 0) {

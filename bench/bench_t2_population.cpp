@@ -5,14 +5,15 @@
 // population in WTR_BENCH_POPULATIONS (default "10000,100000"; a 1M entry
 // is the ROADMAP target and runs in a few minutes) is simulated three
 // times — threads=1, threads=K, and interrupted+resumed through a
-// mid-horizon checkpoint — streaming into a hashing sink instead of a
-// catalog. All three record streams must hash identically; the sweep
-// emits population_<N>_* manifest keys plus headline records_per_s (the
-// threads=1 rate) and bytes_per_agent from the largest population.
+// mid-horizon checkpoint — streaming into a sim::StreamDigest instead of a
+// catalog: a catalog-free stand-in for "the output bytes" at scales where
+// keeping records in memory is the bottleneck. All three record streams
+// must digest identically (the digest's state rides in the snapshot); the
+// sweep emits population_<N>_* manifest keys plus headline records_per_s
+// (the threads=1 rate) and bytes_per_agent from the largest population.
 
 #include "bench_common.hpp"
 
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -20,88 +21,11 @@
 
 #include "cellnet/tac_catalog.hpp"
 #include "ckpt/snapshot.hpp"
+#include "sim/stream_digest.hpp"
 
 namespace {
 
 using namespace wtr;
-
-/// Streaming FNV-1a-64 over every field of every record, in stream order —
-/// a catalog-free stand-in for "the output bytes" at scales where keeping
-/// records in memory is the bottleneck. Checkpointable so the running
-/// state rides in snapshots and an interrupted+resumed run must reproduce
-/// the uninterrupted hash exactly.
-class HashingSink final : public sim::RecordSink, public ckpt::Checkpointable {
- public:
-  void on_signaling(const signaling::SignalingTransaction& txn,
-                    bool data_context) override {
-    mix(txn.device);
-    mix(static_cast<std::uint64_t>(txn.time));
-    mix(txn.sim_plmn.key());
-    mix(txn.visited_plmn.key());
-    mix(static_cast<std::uint64_t>(txn.procedure));
-    mix(static_cast<std::uint64_t>(txn.result));
-    mix(static_cast<std::uint64_t>(txn.rat));
-    mix(txn.sector);
-    mix(txn.tac);
-    mix(data_context ? 1u : 0u);
-    ++records_;
-  }
-  void on_cdr(const records::Cdr& cdr) override {
-    mix(cdr.device);
-    mix(static_cast<std::uint64_t>(cdr.time));
-    mix(cdr.sim_plmn.key());
-    mix(cdr.visited_plmn.key());
-    mix(std::bit_cast<std::uint64_t>(cdr.duration_s));
-    mix(static_cast<std::uint64_t>(cdr.rat));
-    ++records_;
-  }
-  void on_xdr(const records::Xdr& xdr) override {
-    mix(xdr.device);
-    mix(static_cast<std::uint64_t>(xdr.time));
-    mix(xdr.sim_plmn.key());
-    mix(xdr.visited_plmn.key());
-    mix(xdr.bytes_up);
-    mix(xdr.bytes_down);
-    for (const char c : xdr.apn) mix_byte(static_cast<std::uint8_t>(c));
-    mix(static_cast<std::uint64_t>(xdr.rat));
-    ++records_;
-  }
-  void on_dwell(signaling::DeviceHash device, std::int32_t day,
-                cellnet::Plmn visited_plmn, const cellnet::GeoPoint& location,
-                double seconds) override {
-    mix(device);
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(day)));
-    mix(visited_plmn.key());
-    mix(std::bit_cast<std::uint64_t>(location.lat));
-    mix(std::bit_cast<std::uint64_t>(location.lon));
-    mix(std::bit_cast<std::uint64_t>(seconds));
-    ++records_;
-  }
-
-  void save_state(util::BinWriter& out) const override {
-    out.u64(hash_);
-    out.u64(records_);
-  }
-  void restore_state(util::BinReader& in) override {
-    hash_ = in.u64();
-    records_ = in.u64();
-  }
-
-  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
-  [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
-
- private:
-  void mix_byte(std::uint8_t b) noexcept {
-    hash_ ^= b;
-    hash_ *= 1099511628211ull;
-  }
-  void mix(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) mix_byte(static_cast<std::uint8_t>(v >> (i * 8)));
-  }
-
-  std::uint64_t hash_ = 14695981039346656037ull;
-  std::uint64_t records_ = 0;
-};
 
 /// Populations from WTR_BENCH_POPULATIONS ("10000,100000,1000000"); same
 /// hardening as scale_override — a typo must not silently shrink the sweep.
@@ -127,8 +51,7 @@ std::vector<std::size_t> sweep_populations() {
 }
 
 struct SweepLeg {
-  std::uint64_t hash = 0;
-  std::uint64_t records = 0;
+  sim::StreamDigest stream;
   std::uint64_t agents = 0;
   std::uint64_t hydrated = 0;
   std::size_t dormant_bytes = 0;   // arena residency before the run
@@ -143,12 +66,12 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 /// One sweep leg: build the MNO scenario at `devices`, stream the run into
-/// a HashingSink, report hash + throughput + arena residency. `ckpt`
-/// carries the interrupt/resume plumbing for the checkpoint legs (the sink
-/// is registered as a checkpointable either way — registration alone never
-/// changes output).
+/// a StreamDigest, report its hash + throughput + arena residency. `ckpt`
+/// carries the interrupt/resume plumbing for the checkpoint legs (the
+/// digest is registered as a checkpointable either way — registration
+/// alone never changes output).
 SweepLeg run_leg(std::size_t devices, unsigned threads,
-                 const tracegen::CheckpointOptions& ckpt = {},
+                 const sim::CheckpointOptions& ckpt = {},
                  const std::string& resume_from = {}) {
   tracegen::MnoScenarioConfig config;
   config.seed = 2019;
@@ -162,17 +85,14 @@ SweepLeg run_leg(std::size_t devices, unsigned threads,
   tracegen::MnoScenario scenario{config};
   leg.build_s = seconds_since(build_start);
 
-  HashingSink sink;
-  scenario.engine().register_checkpointable("hash_sink", &sink);
+  scenario.engine().register_checkpointable("hash_sink", &leg.stream);
   if (!resume_from.empty()) scenario.resume_from(resume_from);
   leg.dormant_bytes = scenario.engine().arena_resident_bytes();
 
   const auto run_start = std::chrono::steady_clock::now();
-  scenario.run({&sink});
+  scenario.run({&leg.stream});
   leg.run_s = seconds_since(run_start);
 
-  leg.hash = sink.hash();
-  leg.records = sink.records();
   leg.agents = scenario.engine().agent_count();
   leg.hydrated = scenario.engine().agents_hydrated();
   leg.resident_bytes = scenario.engine().arena_resident_bytes();
@@ -206,27 +126,26 @@ bool run_population_sweep(obs::RunManifest& manifest) {
     const SweepLeg parallel = run_leg(population, par_threads);
 
     // Interrupt at mid-horizon (day 11 of 22), then resume a fresh process
-    // image from the snapshot — the concatenated record stream must hash
+    // image from the snapshot — the concatenated record stream must digest
     // identically to the uninterrupted run's.
     const std::string ckpt_path = "BENCH_t2_sweep_ckpt.bin";
-    tracegen::CheckpointOptions stop_ckpt;
+    sim::CheckpointOptions stop_ckpt;
     stop_ckpt.path = ckpt_path;
     stop_ckpt.stop_after_sim_hours = 11 * 24;
     (void)run_leg(population, par_threads, stop_ckpt);
     const SweepLeg resumed = run_leg(population, par_threads, {}, ckpt_path);
     std::remove(ckpt_path.c_str());
 
-    const bool threads_ok =
-        parallel.hash == base.hash && parallel.records == base.records;
-    const bool resume_ok = resumed.hash == base.hash && resumed.records == base.records;
+    const bool threads_ok = parallel.stream == base.stream;
+    const bool resume_ok = resumed.stream == base.stream;
     ok = ok && threads_ok && resume_ok;
 
     const double agents = static_cast<double>(base.agents);
     const double bytes_per_agent = static_cast<double>(base.resident_bytes) / agents;
     const double dormant_per_agent = static_cast<double>(base.dormant_bytes) / agents;
-    const double rate_t1 = static_cast<double>(base.records) / base.run_s;
-    const double rate_tn = static_cast<double>(parallel.records) / parallel.run_s;
-    table.add_row({io::format_count(population), io::format_count(base.records),
+    const double rate_t1 = static_cast<double>(base.stream.records()) / base.run_s;
+    const double rate_tn = static_cast<double>(parallel.stream.records()) / parallel.run_s;
+    table.add_row({io::format_count(population), io::format_count(base.stream.records()),
                    io::format_count(static_cast<std::uint64_t>(rate_t1)),
                    io::format_count(static_cast<std::uint64_t>(rate_tn)),
                    io::format_fixed(bytes_per_agent), io::format_fixed(dormant_per_agent),
@@ -234,7 +153,7 @@ bool run_population_sweep(obs::RunManifest& manifest) {
                        (resume_ok ? "resume=ok" : "RESUME MISMATCH")});
 
     const std::string prefix = "population_" + std::to_string(population) + "_";
-    manifest.add_result(prefix + "records", base.records);
+    manifest.add_result(prefix + "records", base.stream.records());
     manifest.add_result(prefix + "agents", base.agents);
     manifest.add_result(prefix + "hydrated", base.hydrated);
     manifest.add_result(prefix + "records_per_s", rate_t1);
@@ -244,7 +163,7 @@ bool run_population_sweep(obs::RunManifest& manifest) {
     manifest.add_result(prefix + "dormant_bytes_per_agent", dormant_per_agent);
     manifest.add_result(prefix + "run_wall_s", base.run_s);
     manifest.add_result(prefix + "build_wall_s", base.build_s);
-    manifest.add_result(prefix + "hash", hash_hex(base.hash));
+    manifest.add_result(prefix + "hash", hash_hex(base.stream.hash()));
     if (population >= largest) {
       largest = population;
       manifest.add_result("records_per_s", rate_t1);

@@ -5,66 +5,31 @@
 #include <fstream>
 #include <iostream>
 
+#include "core/trace_replay.hpp"
 #include "io/csv.hpp"
-#include "records/cdr.hpp"
-#include "records/xdr.hpp"
-#include "sim/device_agent.hpp"
+#include "sim/stream_digest.hpp"
 #include "tracegen/mno_scenario.hpp"
 
-namespace {
-
-using namespace wtr;
-
-/// A sink that streams every record straight to CSV files.
-class CsvExportSink final : public sim::RecordSink {
- public:
-  CsvExportSink(const std::string& prefix)
-      : signaling_file_(prefix + "_signaling.csv"),
-        cdr_file_(prefix + "_cdr.csv"),
-        xdr_file_(prefix + "_xdr.csv"),
-        signaling_(signaling_file_),
-        cdrs_(cdr_file_),
-        xdrs_(xdr_file_) {
-    signaling_.write_row(signaling::csv_header());
-    cdrs_.write_row(records::cdr_csv_header());
-    xdrs_.write_row(records::xdr_csv_header());
-  }
-
-  void on_signaling(const signaling::SignalingTransaction& txn, bool) override {
-    signaling_.write_row(signaling::to_csv_fields(txn));
-  }
-  void on_cdr(const records::Cdr& cdr) override {
-    cdrs_.write_row(records::to_csv_fields(cdr));
-  }
-  void on_xdr(const records::Xdr& xdr) override {
-    xdrs_.write_row(records::to_csv_fields(xdr));
-  }
-
-  [[nodiscard]] std::size_t rows() const {
-    return signaling_.rows_written() + cdrs_.rows_written() + xdrs_.rows_written();
-  }
-
- private:
-  std::ofstream signaling_file_;
-  std::ofstream cdr_file_;
-  std::ofstream xdr_file_;
-  io::CsvWriter signaling_;
-  io::CsvWriter cdrs_;
-  io::CsvWriter xdrs_;
-};
-
-}  // namespace
-
 int main() {
+  using namespace wtr;
   tracegen::MnoScenarioConfig config;
   config.seed = 99;
   config.total_devices = 400;
   config.days = 3;
   tracegen::MnoScenario scenario{config};
 
-  CsvExportSink exporter{"wtr_trace"};
-  scenario.run({&exporter});
-  std::cout << "Exported " << exporter.rows() << " rows to wtr_trace_signaling.csv, "
+  // Each file gets a header row, then one row per record of its family.
+  sim::StreamDigest digest;
+  {
+    std::ofstream signaling{"wtr_trace_signaling.csv"};
+    std::ofstream cdr{"wtr_trace_cdr.csv"};
+    std::ofstream xdr{"wtr_trace_xdr.csv"};
+    core::CsvTraceExportSink exporter{signaling, cdr, xdr};
+    scenario.run({&exporter, &digest});
+  }
+  const auto& n = digest.counts();
+  std::cout << "Exported " << n.signaling + n.cdr + n.xdr
+            << " records to wtr_trace_signaling.csv, "
             << "wtr_trace_cdr.csv, wtr_trace_xdr.csv\n";
 
   // Read a few rows back: parse the xDR APNs and decode home operators.

@@ -10,7 +10,8 @@ checked-in baseline manifest and a freshly produced candidate. Exits 1 when
 any phase above the noise floor slowed down by more than --max-regress
 (default 25%), or when records_per_sec dropped by more than the same factor.
 Phases below the noise floor (default 0.05 s in the baseline) are reported
-but never gate: their wall time is dominated by scheduler jitter.
+but never gate: their wall time is dominated by scheduler jitter. No other
+result key is read.
 
 Counter-type sanity is also checked: a schema mismatch or a missing phases
 section is an error, because it means the manifest writer changed shape and
@@ -22,85 +23,6 @@ import json
 import sys
 
 SCHEMA = "wtr-run-manifest/1"
-
-# Parallel-execution metadata recorded by the benches (thread counts, shard
-# wake splits, merge timings, measured speedups). These describe how a run
-# was executed, not what it produced — output is byte-identical at any
-# thread count — so they never participate in the comparison and a baseline
-# recorded at threads=1 gates a candidate recorded at any thread count.
-THREAD_METADATA_KEYS = frozenset(
-    {
-        "engine_threads",
-        "engine_shards",
-        "engine_merge_wall_s",
-        "engine_shard_wakes",
-        "engine_speedup",
-        "end_to_end_speedup",
-    }
-)
-
-# Checkpoint/restore bookkeeping. Like the thread metadata these describe
-# how a run was executed — whether it was resumed, how many snapshots were
-# cut and what they cost — not what it produced (resume is deterministic and
-# cadence-off runs skip the subsystem entirely), so they never gate either.
-CHECKPOINT_METADATA_KEYS = frozenset(
-    {
-        "resumed_from",
-        "checkpoints_written",
-        "checkpoint_wall_s",
-        "checkpoint_guard",
-    }
-)
-
-# Trace-format A/B metadata from the CSV-vs-binary replay guard. Byte sizes
-# and replay walls depend on the guard's scenario scale and the machine, and
-# the guard already hard-fails the bench binary itself when the two formats
-# disagree, so these are informational here and never gate.
-TRACE_FORMAT_METADATA_KEYS = frozenset(
-    {
-        "trace_bytes_csv",
-        "trace_bytes_binary",
-        "replay_wall_s_csv",
-        "replay_wall_s_binary",
-        "replay_speedup",
-        "trace_format_guard",
-    }
-)
-
-# Process-level memory ceiling stamped by bench::write_manifest. Peak RSS
-# varies with scale, allocator and machine, so it is informational only.
-MEMORY_METADATA_KEYS = frozenset({"peak_rss_bytes"})
-
-# Population scale-sweep telemetry from bench_t2_population: throughput and
-# per-agent residency depend on the machine and on WTR_BENCH_POPULATIONS,
-# and the sweep's determinism guards (threads=1 vs N, interrupt+resume)
-# already gate through the bench exit status. Headline records_per_s /
-# bytes_per_agent are the same numbers re-published under stable names.
-SCALE_SWEEP_KEYS = frozenset({"records_per_s", "bytes_per_agent"})
-
-IGNORED_RESULT_KEYS = (
-    THREAD_METADATA_KEYS
-    | CHECKPOINT_METADATA_KEYS
-    | TRACE_FORMAT_METADATA_KEYS
-    | MEMORY_METADATA_KEYS
-    | SCALE_SWEEP_KEYS
-)
-
-# Closed-loop overload telemetry from bench_s3_overload_storm. Reject
-# counts, peak overload factors and congested-window lengths scale with the
-# configured capacity and fleet size, and the bench binary already encodes
-# its own verdict in the exit status, so these are informational across
-# commits and never gate. Matched by prefix: the key set grows with the
-# model. The trace_/heartbeat_ prefixes cover the flight-recorder telemetry
-# (overhead percentages, event counts, shard-balance fractions): the bench
-# binary's own overhead guard gates those, and the values are wall-clock
-# derived so they would make every comparison machine-sensitive.
-IGNORED_RESULT_PREFIXES = ("congestion_", "storm_", "trace_", "heartbeat_",
-                           "population_")
-
-
-def ignored_result(key):
-    return key in IGNORED_RESULT_KEYS or key.startswith(IGNORED_RESULT_PREFIXES)
 
 
 def load_manifest(path):
@@ -181,14 +103,10 @@ def main():
         cs = f"{cand_s:9.3f}" if cand_s is not None else "        -"
         print(f"{name:<{width}}  {bs}  {cs}  {delta:>9}  {'yes' if gated else 'no'}")
 
-    base_results = {
-        k: v for k, v in base.get("results", {}).items() if not ignored_result(k)
-    }
-    cand_results = {
-        k: v for k, v in cand.get("results", {}).items() if not ignored_result(k)
-    }
-    base_threads = base.get("results", {}).get("engine_threads", 1)
-    cand_threads = cand.get("results", {}).get("engine_threads", 1)
+    base_results = base.get("results", {})
+    cand_results = cand.get("results", {})
+    base_threads = base_results.get("engine_threads", 1)
+    cand_threads = cand_results.get("engine_threads", 1)
     if base_threads != cand_threads:
         print(
             f"\nnote: baseline ran at engine_threads={base_threads}, candidate at "

@@ -113,13 +113,14 @@ Engine::Engine(const topology::World& world, Config config)
   // The recorder exists from construction so sinks registered before run()
   // can borrow it. One track per configured thread plus the engine track;
   // shard clamping just leaves trailing tracks empty (skipped at export).
-  if (!config_.trace_path.empty()) {
+  if (!config_.telemetry.trace_path.empty()) {
     trace_ = std::make_unique<obs::FlightRecorder>(
-        std::max(1u, config_.threads), config_.trace_capacity_per_track);
+        std::max(1u, config_.threads),
+        config_.telemetry.trace_capacity_per_track);
   }
-  if (!config_.heartbeat_path.empty()) {
+  if (!config_.telemetry.heartbeat_path.empty()) {
     heartbeat_ = std::make_unique<obs::HeartbeatWriter>(
-        config_.heartbeat_path, config_.heartbeat_every_wall_s);
+        config_.telemetry.heartbeat_path, config_.telemetry.heartbeat_every_wall_s);
   }
 }
 
@@ -189,7 +190,7 @@ void Engine::beat(const char* phase, stats::SimTime sim_now, bool force) {
 
 void Engine::write_checkpoint(stats::SimTime resume_time,
                               const std::deque<Shard>& shards) {
-  if (config_.checkpoint_path.empty()) return;
+  if (config_.ckpt.path.empty()) return;
   const auto start = Clock::now();
 
   // write_checkpoint always runs on the calling thread, so its spans land
@@ -243,7 +244,7 @@ void Engine::write_checkpoint(stats::SimTime resume_time,
   }
 
   serialize_span.close();
-  ckpt::write_snapshot_atomic(config_.checkpoint_path, payload.bytes(),
+  ckpt::write_snapshot_atomic(config_.ckpt.path, payload.bytes(),
                               trace_.get(), obs::FlightRecorder::kEngineTrack);
   ++checkpoints_written_;
   last_checkpoint_time_ = resume_time;
@@ -407,12 +408,13 @@ void Engine::run(std::vector<RecordSink*> sinks) {
 
   const stats::SimTime horizon_end = stats::day_start(config_.horizon_days);
   const stats::SimTime cadence_s =
-      config_.checkpoint_every_sim_hours > 0
-          ? config_.checkpoint_every_sim_hours * stats::kSecondsPerHour
+      config_.ckpt.every_sim_hours > 0
+          ? config_.ckpt.every_sim_hours * stats::kSecondsPerHour
           : 0;
   stats::SimTime stop_time = -1;
-  if (config_.stop_after_sim_hours > 0) {
-    const stats::SimTime t = config_.stop_after_sim_hours * stats::kSecondsPerHour;
+  if (config_.ckpt.stop_after_sim_hours > 0) {
+    const stats::SimTime t =
+        config_.ckpt.stop_after_sim_hours * stats::kSecondsPerHour;
     if (t < horizon_end) stop_time = t;
   }
   faults::CongestionModel* congestion = config_.congestion;
@@ -698,7 +700,7 @@ void Engine::finish_telemetry() {
       m.gauge("trace.shard_busy_frac_max").set(*hi / window_wall_s_);
     }
   }
-  if (trace_ != nullptr) trace_->write(config_.trace_path);
+  if (trace_ != nullptr) trace_->write(config_.telemetry.trace_path);
   beat(interrupted_ ? "interrupted" : "done", last_time_, /*force=*/true);
 }
 

@@ -99,6 +99,51 @@ class MultiSink final : public RecordSink {
   std::vector<RecordSink*> sinks_;
 };
 
+/// Checkpoint/restore settings of Engine::Config. All-default writes no
+/// snapshots.
+struct CheckpointOptions {
+  /// Snapshot cadence in sim hours; 0 (the default) writes no cadence
+  /// snapshots. With cadence on, every cadence boundary ends a window and a
+  /// snapshot is written atomically to `path` at its barrier, so the
+  /// snapshot is thread-count-independent (threads=1 and threads=N write
+  /// bit-identical snapshots at the same boundary). Output is byte-identical
+  /// with the cadence on or off.
+  std::int64_t every_sim_hours = 0;
+  /// Where cadence (and graceful-shutdown / stop_after) snapshots land.
+  /// Empty disables snapshot writes even when a cadence is set.
+  std::string path;
+  /// Deterministic in-process interrupt: stop at this sim-hour boundary,
+  /// write a final snapshot, and return with interrupted() == true.
+  /// 0 disables; values at or beyond the horizon are ignored. The recovery
+  /// tests use this to cut a run at an exact sim-time point without
+  /// involving signals.
+  std::int64_t stop_after_sim_hours = 0;
+};
+
+/// Live-telemetry settings of Engine::Config. All-default disables both
+/// the flight recorder and the heartbeat and keeps the run on the untraced
+/// code path; enabling them never changes simulation output.
+struct TelemetryOptions {
+  /// Flight recorder (src/obs/trace.hpp): non-empty enables per-shard
+  /// span/instant recording and writes a Chrome trace-event JSON export here
+  /// at the end of the run (loadable in Perfetto). Tracing observes, never
+  /// perturbs: disabled means zero extra clock reads beyond one branch per
+  /// site, and enabled leaves sink output byte-identical at any thread
+  /// count.
+  std::string trace_path;
+  /// Ring capacity per track (engine + one per shard). The recorder keeps
+  /// the newest events once a ring wraps and counts the overwritten ones as
+  /// dropped.
+  std::size_t trace_capacity_per_track = std::size_t{1} << 15;
+  /// Heartbeat/progress file (src/obs/heartbeat.hpp): non-empty makes the
+  /// engine atomically rewrite a single-line JSON status here during the
+  /// run, so a supervisor can tell a hung process from a slow one by the
+  /// file's freshness. Independent of tracing.
+  std::string heartbeat_path;
+  /// Minimum wall seconds between heartbeat rewrites.
+  double heartbeat_every_wall_s = 1.0;
+};
+
 class Engine {
  public:
   struct Config {
@@ -136,40 +181,10 @@ class Engine {
     /// The model's state rides inside engine snapshots; resume requires the
     /// same model presence and operator count.
     faults::CongestionModel* congestion = nullptr;
-    /// Checkpoint cadence in sim hours; 0 (the default) writes no cadence
-    /// snapshots. With cadence on, every cadence boundary ends a window and
-    /// a snapshot is written atomically to `checkpoint_path` at its barrier,
-    /// so the snapshot is thread-count-independent (threads=1 and threads=N
-    /// write bit-identical snapshots at the same boundary). Output is
-    /// byte-identical with the cadence on or off.
-    std::int64_t checkpoint_every_sim_hours = 0;
-    /// Where cadence (and graceful-shutdown / stop_after) snapshots land.
-    /// Empty disables snapshot writes even when a cadence is set.
-    std::string checkpoint_path;
-    /// Deterministic in-process interrupt: stop at this sim-hour boundary,
-    /// write a final snapshot, and return with interrupted() == true.
-    /// 0 disables; values at or beyond the horizon are ignored. The
-    /// recovery tests use this to cut a run at an exact sim-time point
-    /// without involving signals.
-    std::int64_t stop_after_sim_hours = 0;
-    /// Flight recorder (src/obs/trace.hpp): non-empty enables per-shard
-    /// span/instant recording and writes a Chrome trace-event JSON export
-    /// here at the end of the run (loadable in Perfetto). Tracing observes,
-    /// never perturbs: disabled means zero extra clock reads beyond one
-    /// branch per site, and enabled leaves sink output byte-identical at
-    /// any thread count.
-    std::string trace_path;
-    /// Ring capacity per track (engine + one per shard). The recorder keeps
-    /// the newest events once a ring wraps and counts the overwritten ones
-    /// as dropped.
-    std::size_t trace_capacity_per_track = std::size_t{1} << 15;
-    /// Heartbeat/progress file (src/obs/heartbeat.hpp): non-empty makes the
-    /// engine atomically rewrite a single-line JSON status here during the
-    /// run, so a supervisor can tell a hung process from a slow one by the
-    /// file's freshness. Independent of tracing.
-    std::string heartbeat_path;
-    /// Minimum wall seconds between heartbeat rewrites.
-    double heartbeat_every_wall_s = 1.0;
+    /// Checkpoint/restore plumbing (all-default writes no snapshots).
+    CheckpointOptions ckpt{};
+    /// Flight recorder and heartbeat (all-default disables both).
+    TelemetryOptions telemetry{};
   };
 
   Engine(const topology::World& world, Config config);
@@ -253,7 +268,7 @@ class Engine {
   [[nodiscard]] double merge_wall_s() const noexcept { return merge_wall_s_; }
 
   /// True when the last run() returned early — graceful shutdown request
-  /// or Config::stop_after_sim_hours — rather than reaching the horizon.
+  /// or Config::ckpt.stop_after_sim_hours — rather than reaching the horizon.
   [[nodiscard]] bool interrupted() const noexcept { return interrupted_; }
   /// True when this engine was primed from a snapshot via resume_from().
   [[nodiscard]] bool resumed() const noexcept { return resumed_; }
@@ -267,8 +282,8 @@ class Engine {
   /// Cumulative wall time spent serializing and writing snapshots.
   [[nodiscard]] double checkpoint_wall_s() const noexcept { return checkpoint_wall_s_; }
 
-  /// The flight recorder, or null when Config::trace_path is empty. Sinks
-  /// and the checkpoint writer borrow it to add their own spans.
+  /// The flight recorder, or null when Config::telemetry.trace_path is
+  /// empty. Sinks and the checkpoint writer borrow it to add their own spans.
   [[nodiscard]] obs::FlightRecorder* flight_recorder() noexcept { return trace_.get(); }
 
   // --- shard-balance telemetry (tracing-enabled runs only; all zero when
@@ -309,7 +324,7 @@ class Engine {
   /// onto an identically rebuilt engine.
   [[nodiscard]] std::uint64_t fleet_fingerprint() const;
   /// Serialize full engine state resuming at `resume_time` and write it
-  /// atomically to Config::checkpoint_path (no-op when the path is empty).
+  /// atomically to Config::ckpt.path (no-op when the path is empty).
   /// The metrics persisted are the main registry plus, with K > 1 shards,
   /// every shard's private delta so far.
   void write_checkpoint(stats::SimTime resume_time, const std::deque<Shard>& shards);

@@ -25,13 +25,8 @@ ScenarioBase::ScenarioBase(topology::WorldConfig world_config,
   engine_config.faults = run.faults;
   engine_config.metrics = obs_.metrics;
   engine_config.probe = obs_.probe;
-  engine_config.checkpoint_every_sim_hours = run.ckpt.every_sim_hours;
-  engine_config.checkpoint_path = run.ckpt.path;
-  engine_config.stop_after_sim_hours = run.ckpt.stop_after_sim_hours;
-  engine_config.trace_path = run.telemetry.trace_path;
-  engine_config.trace_capacity_per_track = run.telemetry.trace_capacity_per_track;
-  engine_config.heartbeat_path = run.telemetry.heartbeat_path;
-  engine_config.heartbeat_every_wall_s = run.telemetry.heartbeat_every_wall_s;
+  engine_config.ckpt = run.ckpt;
+  engine_config.telemetry = run.telemetry;
   engine_ = std::make_unique<sim::Engine>(*world_, engine_config);
 }
 

@@ -19,32 +19,6 @@
 
 namespace wtr::tracegen {
 
-/// Checkpoint/restore passthrough (maps 1:1 onto the sim::Engine::Config
-/// checkpoint fields). All-default writes no snapshots.
-struct CheckpointOptions {
-  /// Snapshot cadence in sim hours (0 = off).
-  std::int64_t every_sim_hours = 0;
-  /// Snapshot path, replaced atomically at every boundary (empty = off).
-  std::string path;
-  /// Deterministic in-process interrupt at this sim-hour boundary (0 = off).
-  std::int64_t stop_after_sim_hours = 0;
-};
-
-/// Live-telemetry passthrough (maps 1:1 onto the sim::Engine::Config
-/// flight-recorder/heartbeat fields). All-default disables both and keeps
-/// the run on the untraced code path; enabling them never changes
-/// simulation output (see src/obs/trace.hpp).
-struct TelemetryOptions {
-  /// Chrome trace-event JSON export path (empty = flight recorder off).
-  std::string trace_path;
-  /// Ring capacity per flight-recorder track.
-  std::size_t trace_capacity_per_track = std::size_t{1} << 15;
-  /// Heartbeat/progress file path (empty = off).
-  std::string heartbeat_path;
-  /// Minimum wall seconds between heartbeat rewrites.
-  double heartbeat_every_wall_s = 1.0;
-};
-
 /// How to run a scenario, as opposed to what it simulates: the options every
 /// scenario config inherits. The ScenarioBase constructor maps them onto
 /// sim::Engine::Config; none of them changes simulation output except
@@ -65,9 +39,9 @@ struct RunOptions {
   /// the run byte-identical).
   obs::Observability obs{};
   /// Checkpoint/restore plumbing (all-default = off).
-  CheckpointOptions ckpt{};
-  /// Flight-recorder / heartbeat passthrough (all-default = off).
-  TelemetryOptions telemetry{};
+  sim::CheckpointOptions ckpt{};
+  /// Flight recorder and heartbeat (all-default = off).
+  sim::TelemetryOptions telemetry{};
 };
 
 struct GroundTruthEntry {

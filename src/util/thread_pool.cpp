@@ -1,11 +1,14 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace wtr::util {
 
 ThreadPool::ThreadPool(std::size_t workers) {
+  if (workers == 0) {
+    throw std::invalid_argument("util::ThreadPool: at least one worker is required");
+  }
   threads_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
@@ -19,10 +22,6 @@ ThreadPool::~ThreadPool() {
   }
   work_ready_.notify_all();
   for (auto& thread : threads_) thread.join();
-}
-
-std::size_t ThreadPool::hardware_threads() noexcept {
-  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 void ThreadPool::submit(std::function<void()> task) {
@@ -63,18 +62,7 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::wait() {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (threads_.empty()) {
-    // Inline fallback: drain the queue on the caller's thread.
-    while (!queue_.empty()) {
-      auto task = std::move(queue_.front());
-      queue_.pop_front();
-      lock.unlock();
-      run_task(std::move(task));
-      lock.lock();
-    }
-  } else {
-    all_done_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-  }
+  all_done_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
   if (first_error_) {
     auto error = std::exchange(first_error_, nullptr);
     lock.unlock();

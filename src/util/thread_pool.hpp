@@ -7,10 +7,9 @@
 // task are captured and rethrown from wait() (first one wins) so shard
 // failures surface in the calling thread instead of killing the process.
 //
-// With zero workers (or a single-task cycle on a single-core box) submit()
-// degrades gracefully: tasks queued while no worker exists are executed
-// inline by wait(). That keeps threads=1 semantics available even where
-// std::thread is unusable.
+// A pool needs at least one worker. There is no inline mode: the engine's
+// streaming merge waits on shard publications before it calls wait(), so a
+// task that only wait() would run could never start.
 
 #include <condition_variable>
 #include <cstddef>
@@ -25,14 +24,12 @@ namespace wtr::util {
 
 class ThreadPool {
  public:
-  /// Spawn `workers` threads. 0 is valid: tasks then run inline in wait().
+  /// Spawn `workers` threads. Throws std::invalid_argument for 0.
   explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] std::size_t worker_count() const noexcept { return threads_.size(); }
 
   /// Enqueue a task for execution. Must not be called concurrently with
   /// wait() from another thread (the pool has a single producer by design).
@@ -41,9 +38,6 @@ class ThreadPool {
   /// Block until all submitted tasks have completed, then rethrow the first
   /// captured task exception, if any. The pool is reusable afterwards.
   void wait();
-
-  /// Reasonable default worker count for this machine (>= 1).
-  [[nodiscard]] static std::size_t hardware_threads() noexcept;
 
  private:
   void worker_loop();

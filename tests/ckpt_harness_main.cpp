@@ -49,6 +49,8 @@
 #include "tracegen/smip_scenario.hpp"
 #include "tracegen/storm_scenario.hpp"
 
+#include "run_dumps.hpp"
+
 namespace {
 
 using namespace wtr;
@@ -150,79 +152,6 @@ bool parse(int argc, char** argv, Options& opt) {
   return true;
 }
 
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-/// Wall-clock-derived flight-recorder telemetry (trace.* names) is excluded
-/// from metrics.txt: the dump is byte-compared between interrupted+resumed
-/// and uninterrupted runs, and wall times legitimately differ across them.
-bool volatile_metric(const std::string& name) {
-  return name.rfind("trace.", 0) == 0;
-}
-
-std::string dump_metrics(const obs::MetricsRegistry& metrics) {
-  std::string out;
-  for (const auto& [name, counter] : metrics.counters()) {
-    if (volatile_metric(name)) continue;
-    out += name + "=" + std::to_string(counter.value()) + "\n";
-  }
-  for (const auto& [name, gauge] : metrics.gauges()) {
-    if (volatile_metric(name)) continue;
-    out += name + "=" + hex_double(gauge.value()) + "\n";
-  }
-  for (const auto& [name, hist] : metrics.histograms()) {
-    if (volatile_metric(name)) continue;
-    out += name + ": n=" + std::to_string(hist.count()) +
-           " sum=" + hex_double(hist.sum()) + " buckets=";
-    for (const auto b : hist.bucket_counts()) out += std::to_string(b) + ",";
-    out += "\n";
-  }
-  return out;
-}
-
-std::string dump_probe(const obs::EngineProbe& probe) {
-  std::string out;
-  for (const auto& s : probe.samples()) {
-    out += std::to_string(s.sim_time) + "|" + std::to_string(s.wakes) + "|" +
-           std::to_string(s.queue_depth) + "|" + std::to_string(s.records) + "|" +
-           std::to_string(s.attach_attempts) + "|" +
-           std::to_string(s.attach_failures) + "|" +
-           std::to_string(s.active_fault_episodes) + "\n";
-  }
-  out += "max=" + std::to_string(probe.queue_depth_max());
-  out += " records=" + std::to_string(probe.records_total());
-  out += " failures=" + std::to_string(probe.attach_failures());
-  out += "\n";
-  return out;
-}
-
-std::string dump_resilience(const faults::ResilienceSummary& summary) {
-  std::string out;
-  out += "procedures=" + std::to_string(summary.procedures) + "\n";
-  out += "failures=" + std::to_string(summary.failures) + "\n";
-  for (std::size_t code = 0; code < summary.by_code.size(); ++code) {
-    out += "code," + std::to_string(code) + "=" +
-           std::to_string(summary.by_code[code]) + "\n";
-  }
-  for (const auto& [day, n] : summary.failures_by_day) {
-    out += "day," + std::to_string(day) + "=" + std::to_string(n) + "\n";
-  }
-  for (const auto& [op, n] : summary.failures_by_operator) {
-    out += "op," + std::to_string(op) + "=" + std::to_string(n) + "\n";
-  }
-  for (const auto& rec : summary.recoveries) {
-    out += "recovery," + std::to_string(rec.episode_index) + "," +
-           std::to_string(rec.op) + "," + std::to_string(rec.outage_end) + "," +
-           (rec.first_success_after ? std::to_string(*rec.first_success_after)
-                                    : std::string{"none"}) +
-           "\n";
-  }
-  return out;
-}
-
 void write_text(const std::string& path, const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (!f) {
@@ -289,11 +218,11 @@ std::unique_ptr<faults::CongestionModel> build_congestion_model(
 std::unique_ptr<tracegen::ScenarioBase> make_scenario(
     const Options& opt, const faults::FaultSchedule* faults,
     faults::CongestionModel* congestion, obs::Observability obs) {
-  tracegen::CheckpointOptions ckpt;
+  sim::CheckpointOptions ckpt;
   ckpt.every_sim_hours = opt.ckpt_hours;
   ckpt.path = opt.ckpt_path;
   ckpt.stop_after_sim_hours = opt.stop_hours;
-  tracegen::TelemetryOptions telemetry;
+  sim::TelemetryOptions telemetry;
   telemetry.trace_path = opt.trace_path;
   telemetry.heartbeat_path = opt.heartbeat_path;
   telemetry.heartbeat_every_wall_s = opt.heartbeat_interval_s;
@@ -427,6 +356,8 @@ int run_harness(const Options& opt) {
   // Completed: seal the trace with its end marker (interrupted runs above
   // leave it unsealed — a resume truncates and appends to it).
   sink.finish();
+  // The dumps leave out the wall-clock trace.* metrics: these files are
+  // byte-compared between interrupted+resumed and uninterrupted runs.
   write_text(opt.out_dir + "/metrics.txt", dump_metrics(observation.metrics()));
   write_text(opt.out_dir + "/probe.txt", dump_probe(observation.probe()));
   if (report) {

@@ -14,8 +14,11 @@
 
 #include "ckpt/snapshot.hpp"
 #include "sim/agent_arena.hpp"
+#include "sim/stream_digest.hpp"
 #include "tracegen/mno_scenario.hpp"
 #include "util/binio.hpp"
+
+#include "digest_checks.hpp"
 
 namespace wtr::sim {
 namespace {
@@ -178,52 +181,6 @@ TEST(DeviceAgentSnapshot, RestoreRejectsUnknownOrEmptyCountry) {
 // Scenario-level: interrupt/resume through the wheel + arena snapshot
 // section, with part of the fleet dormant at the snapshot point.
 
-/// Order-sensitive FNV-1a over the (device, time) identity of every record;
-/// checkpointable so the running state rides in snapshots and resumes
-/// continue the stream instead of restarting it.
-class HashSink final : public RecordSink, public ckpt::Checkpointable {
- public:
-  void on_signaling(const signaling::SignalingTransaction& txn, bool) override {
-    mix(1, txn.device, static_cast<std::uint64_t>(txn.time));
-  }
-  void on_cdr(const records::Cdr& cdr) override {
-    mix(2, cdr.device, static_cast<std::uint64_t>(cdr.time));
-  }
-  void on_xdr(const records::Xdr& xdr) override {
-    mix(3, xdr.device, static_cast<std::uint64_t>(xdr.time));
-  }
-  void on_dwell(signaling::DeviceHash device, std::int32_t day, cellnet::Plmn,
-                const cellnet::GeoPoint&, double) override {
-    mix(4, device, static_cast<std::uint64_t>(static_cast<std::int64_t>(day)));
-  }
-
-  void save_state(util::BinWriter& out) const override {
-    out.u64(hash_);
-    out.u64(records_);
-  }
-  void restore_state(util::BinReader& in) override {
-    hash_ = in.u64();
-    records_ = in.u64();
-  }
-
-  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
-  [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
-
- private:
-  void mix(std::uint64_t tag, std::uint64_t a, std::uint64_t b) noexcept {
-    for (const std::uint64_t v : {tag, a, b}) {
-      for (int i = 0; i < 8; ++i) {
-        hash_ ^= static_cast<std::uint8_t>(v >> (i * 8));
-        hash_ *= 1099511628211ull;
-      }
-    }
-    ++records_;
-  }
-
-  std::uint64_t hash_ = 14695981039346656037ull;
-  std::uint64_t records_ = 0;
-};
-
 tracegen::MnoScenarioConfig scenario_config() {
   tracegen::MnoScenarioConfig config;
   config.seed = 77;
@@ -234,39 +191,40 @@ tracegen::MnoScenarioConfig scenario_config() {
 }
 
 struct ScenarioResult {
-  std::uint64_t hash = 0;
-  std::uint64_t records = 0;
+  StreamDigest stream;
   std::size_t agents = 0;
   std::size_t hydrated = 0;
   bool interrupted = false;
 };
 
-ScenarioResult run_scenario(const tracegen::CheckpointOptions& ckpt,
+ScenarioResult run_scenario(const CheckpointOptions& ckpt,
                             const std::string& resume_path = {}) {
   auto config = scenario_config();
   config.ckpt = ckpt;
   tracegen::MnoScenario scenario{config};
-  HashSink sink;
+  StreamDigest sink;
   scenario.engine().register_checkpointable("hash_sink", &sink);
   if (!resume_path.empty()) scenario.resume_from(resume_path);
   scenario.run({&sink});
-  return ScenarioResult{sink.hash(), sink.records(), scenario.engine().agent_count(),
+  return ScenarioResult{sink, scenario.engine().agent_count(),
                         scenario.engine().agents_hydrated(),
                         scenario.engine().interrupted()};
 }
 
 TEST(AgentArenaCkpt, ResumeWithDormantAgentsIsByteIdentical) {
   const ScenarioResult full = run_scenario({});
+  expect_families(full.stream);
   // A full run wakes every kept agent at least once (first wake always
   // precedes departure), so the arena ends fully hydrated.
   EXPECT_EQ(full.hydrated, full.agents);
 
   const std::string path = "test_agent_arena_v3.ckpt";
-  tracegen::CheckpointOptions stop;
+  CheckpointOptions stop;
   stop.path = path;
   stop.stop_after_sim_hours = 30;  // mid day 2 of 6
   const ScenarioResult interrupted = run_scenario(stop);
   EXPECT_TRUE(interrupted.interrupted);
+  EXPECT_LT(interrupted.stream.records(), full.stream.records());
   // The MNO fleet staggers arrivals (tourists, meter cohorts) across the
   // horizon: at day 2 a real part of the fleet must still be dormant —
   // otherwise this test no longer covers the dormant branch.
@@ -274,8 +232,7 @@ TEST(AgentArenaCkpt, ResumeWithDormantAgentsIsByteIdentical) {
   EXPECT_NO_THROW((void)ckpt::read_snapshot(path));  // current version only
 
   const ScenarioResult resumed = run_scenario({}, path);
-  EXPECT_EQ(resumed.hash, full.hash);
-  EXPECT_EQ(resumed.records, full.records);
+  EXPECT_EQ(resumed.stream, full.stream);
   EXPECT_EQ(resumed.hydrated, full.hydrated);
   std::remove(path.c_str());
 }

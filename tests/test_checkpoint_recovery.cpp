@@ -19,8 +19,9 @@
 //  * In-process resume-across-faults: a faulted run interrupted *inside* an
 //    outage window must resume with identical backoff timers (asserted via
 //    the full per-agent state blob, which contains every T3411/T3402 timer
-//    and the agent RNG), an identical spliced record stream, and identical
-//    ResilienceReport totals — threads 1 and 4.
+//    and the agent RNG), an identical record stream (sim::StreamDigest,
+//    whose state rides in the snapshot), and identical ResilienceReport
+//    totals — threads 1 and 4.
 //
 //  * Graceful shutdown: a sink requests shutdown at a fixed record count.
 //    One shard without congestion stops between two wakes; sharded runs stop
@@ -36,7 +37,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -51,10 +51,14 @@
 #include "faults/fault_schedule.hpp"
 #include "faults/resilience_report.hpp"
 #include "obs/observability.hpp"
+#include "sim/stream_digest.hpp"
 #include "stats/sim_time.hpp"
 #include "tracegen/mno_scenario.hpp"
 #include "util/binio.hpp"
 #include "util/crc32.hpp"
+
+#include "digest_checks.hpp"
+#include "run_dumps.hpp"
 
 #ifndef WTR_CKPT_HARNESS_PATH
 #error "WTR_CKPT_HARNESS_PATH must point at the wtr_ckpt_harness binary"
@@ -374,126 +378,6 @@ TEST(CheckpointRecovery, CorruptSnapshotsAreRejected) {
 
 // --- in-process resume across an outage window ------------------------------
 
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-/// StreamSerializer with a checkpointed byte offset: the in-process stand-in
-/// for ckpt::BinaryTraceFileSink (same truncate-to-offset resume semantics,
-/// but against an in-memory string the test can splice and compare).
-class CheckpointableStream final : public sim::RecordSink,
-                                   public ckpt::Checkpointable {
- public:
-  std::string stream;
-
-  void on_signaling(const signaling::SignalingTransaction& txn,
-                    bool data_context) override {
-    stream += "S:";
-    for (const auto& field : signaling::to_csv_fields(txn)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += data_context ? "dc\n" : "-\n";
-  }
-  void on_cdr(const records::Cdr& cdr) override {
-    stream += "C:";
-    for (const auto& field : records::to_csv_fields(cdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-  void on_xdr(const records::Xdr& xdr) override {
-    stream += "X:";
-    for (const auto& field : records::to_csv_fields(xdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-  void on_dwell(signaling::DeviceHash device, std::int32_t day,
-                cellnet::Plmn visited_plmn, const cellnet::GeoPoint& location,
-                double seconds) override {
-    stream += "D:";
-    stream += std::to_string(device);
-    stream += ',';
-    stream += std::to_string(day);
-    stream += ',';
-    stream += std::to_string(visited_plmn.key());
-    stream += ',';
-    stream += hex_double(location.lat);
-    stream += ',';
-    stream += hex_double(location.lon);
-    stream += ',';
-    stream += hex_double(seconds);
-    stream += '\n';
-  }
-
-  void save_state(util::BinWriter& out) const override { out.u64(stream.size()); }
-  void restore_state(util::BinReader& in) override {
-    const auto size = in.u64();
-    if (size > stream.size()) {
-      throw std::runtime_error("stream shorter than checkpointed offset");
-    }
-    stream.resize(size);
-  }
-};
-
-std::string dump_metrics(const obs::MetricsRegistry& metrics) {
-  std::string out;
-  for (const auto& [name, counter] : metrics.counters()) {
-    out += name + "=" + std::to_string(counter.value()) + "\n";
-  }
-  for (const auto& [name, gauge] : metrics.gauges()) {
-    out += name + "=" + hex_double(gauge.value()) + "\n";
-  }
-  for (const auto& [name, hist] : metrics.histograms()) {
-    out += name + ": n=" + std::to_string(hist.count()) +
-           " sum=" + hex_double(hist.sum()) + " buckets=";
-    for (const auto b : hist.bucket_counts()) out += std::to_string(b) + ",";
-    out += "\n";
-  }
-  return out;
-}
-
-std::string dump_probe(const obs::EngineProbe& probe) {
-  std::string out;
-  for (const auto& s : probe.samples()) {
-    out += std::to_string(s.sim_time) + "|" + std::to_string(s.wakes) + "|" +
-           std::to_string(s.queue_depth) + "|" + std::to_string(s.records) + "|" +
-           std::to_string(s.attach_attempts) + "|" +
-           std::to_string(s.attach_failures) + "|" +
-           std::to_string(s.active_fault_episodes) + "\n";
-  }
-  return out;
-}
-
-std::string dump_resilience(const faults::ResilienceSummary& summary) {
-  std::string out;
-  out += "procedures=" + std::to_string(summary.procedures) + "\n";
-  out += "failures=" + std::to_string(summary.failures) + "\n";
-  for (std::size_t code = 0; code < summary.by_code.size(); ++code) {
-    out += std::to_string(summary.by_code[code]) + ",";
-  }
-  out += "\n";
-  for (const auto& [day, n] : summary.failures_by_day) {
-    out += "day," + std::to_string(day) + "=" + std::to_string(n) + "\n";
-  }
-  for (const auto& [op, n] : summary.failures_by_operator) {
-    out += "op," + std::to_string(op) + "=" + std::to_string(n) + "\n";
-  }
-  for (const auto& rec : summary.recoveries) {
-    out += "recovery," + std::to_string(rec.episode_index) + "," +
-           std::to_string(rec.outage_end) + "," +
-           (rec.first_success_after ? std::to_string(*rec.first_success_after)
-                                    : std::string{"none"}) +
-           "\n";
-  }
-  return out;
-}
-
 /// Every mutable per-agent field — RNG words, EMM machine, every backoff
 /// timer — serialized for the whole fleet. Blob equality is the strongest
 /// possible "same backoff timers after resume" statement.
@@ -520,25 +404,26 @@ tracegen::MnoScenarioConfig faulted_config(unsigned threads,
 }
 
 struct FaultedCapture {
-  std::string stream;
+  sim::StreamDigest stream;
   std::string metrics;
   std::string probe;
   std::string resilience;
   std::string fleet;
 };
 
+
 FaultedCapture run_faulted_uninterrupted(unsigned threads,
                                          const faults::FaultSchedule& schedule) {
   obs::RunObservation observation;
   tracegen::MnoScenario scenario{
       faulted_config(threads, &schedule, observation.view())};
-  CheckpointableStream sink;
+  sim::StreamDigest sink;
   scenario.engine().register_checkpointable("stream", &sink);
   faults::ResilienceReport report{scenario.world(), schedule,
                                   &observation.metrics()};
   scenario.engine().register_checkpointable("resilience", &report);
   scenario.run({&sink, &report});
-  return {sink.stream, dump_metrics(observation.metrics()),
+  return {sink, dump_metrics(observation.metrics()),
           dump_probe(observation.probe()), dump_resilience(report.summary()),
           fleet_state_blob(scenario.engine())};
 }
@@ -564,7 +449,7 @@ TEST(CheckpointRecovery, ResumeInsideOutageWindowIsDeterministic) {
   }
 
   const auto golden = run_faulted_uninterrupted(1, schedule);
-  ASSERT_FALSE(golden.stream.empty());
+  expect_families(golden.stream);
 
   for (const unsigned threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -573,14 +458,13 @@ TEST(CheckpointRecovery, ResumeInsideOutageWindowIsDeterministic) {
     const std::string ckpt = dir + "/ckpt.bin";
 
     // Phase 1: run to the in-process interrupt inside the outage window.
-    std::string partial_stream;
     {
       obs::RunObservation observation;
       auto config = faulted_config(threads, &schedule, observation.view());
       config.ckpt.path = ckpt;
       config.ckpt.stop_after_sim_hours = kStopHours;
       tracegen::MnoScenario scenario{config};
-      CheckpointableStream sink;
+      sim::StreamDigest sink;
       scenario.engine().register_checkpointable("stream", &sink);
       faults::ResilienceReport report{scenario.world(), schedule,
                                       &observation.metrics()};
@@ -588,19 +472,16 @@ TEST(CheckpointRecovery, ResumeInsideOutageWindowIsDeterministic) {
       scenario.run({&sink, &report});
       ASSERT_TRUE(scenario.engine().interrupted());
       ASSERT_TRUE(fs::exists(ckpt));
-      partial_stream = sink.stream;
+      EXPECT_GT(sink.records(), 0u);
+      EXPECT_LT(sink.records(), golden.stream.records());
     }
-    EXPECT_FALSE(partial_stream.empty());
-    // The interrupted prefix must itself be a prefix of the golden stream.
-    ASSERT_LE(partial_stream.size(), golden.stream.size());
-    EXPECT_EQ(partial_stream, golden.stream.substr(0, partial_stream.size()));
 
-    // Phase 2: identical construction, restore, run to the horizon.
+    // Phase 2: identical construction, restore (the digest continues from
+    // the snapshot), run to the horizon.
     obs::RunObservation observation;
     tracegen::MnoScenario scenario{
         faulted_config(threads, &schedule, observation.view())};
-    CheckpointableStream sink;
-    sink.stream = partial_stream;  // the "persisted" prefix a file sink keeps
+    sim::StreamDigest sink;
     scenario.engine().register_checkpointable("stream", &sink);
     faults::ResilienceReport report{scenario.world(), schedule,
                                     &observation.metrics()};
@@ -610,7 +491,7 @@ TEST(CheckpointRecovery, ResumeInsideOutageWindowIsDeterministic) {
     scenario.run({&sink, &report});
     EXPECT_FALSE(scenario.engine().interrupted());
 
-    EXPECT_EQ(sink.stream, golden.stream);
+    EXPECT_EQ(sink, golden.stream);
     EXPECT_EQ(dump_metrics(observation.metrics()), golden.metrics);
     EXPECT_EQ(dump_probe(observation.probe()), golden.probe);
     EXPECT_EQ(dump_resilience(report.summary()), golden.resilience);
@@ -646,54 +527,53 @@ class ShutdownAtRecord final : public sim::RecordSink {
 };
 
 struct ShutdownCapture {
-  std::string stream;
+  sim::StreamDigest stream;
   std::string metrics;
   bool interrupted = false;
 };
 
-/// One MNO run into a CheckpointableStream. `shutdown_at` > 0 adds the
+/// One MNO run into a checkpointed StreamDigest. `shutdown_at` > 0 adds the
 /// shutdown trigger (the flag is reset before returning); a non-empty
-/// `resume` path resumes onto `prefix` first.
-ShutdownCapture run_shutdown_case(unsigned threads, const tracegen::CheckpointOptions& ckpt,
+/// `resume` path resumes from that snapshot first.
+ShutdownCapture run_shutdown_case(unsigned threads, const sim::CheckpointOptions& ckpt,
                                   std::uint64_t shutdown_at,
-                                  const std::string& resume = {},
-                                  const std::string& prefix = {}) {
+                                  const std::string& resume = {}) {
   obs::RunObservation observation;
   auto config = faulted_config(threads, nullptr, observation.view());
   config.ckpt = ckpt;
   tracegen::MnoScenario scenario{config};
-  CheckpointableStream sink;
-  sink.stream = prefix;
-  scenario.engine().register_checkpointable("stream", &sink);
+  ShutdownCapture cap;
+  scenario.engine().register_checkpointable("stream", &cap.stream);
   if (!resume.empty()) scenario.resume_from(resume);
   ShutdownAtRecord trigger{shutdown_at};
-  std::vector<sim::RecordSink*> sinks{&sink};
+  std::vector<sim::RecordSink*> sinks{&cap.stream};
   if (shutdown_at > 0) sinks.push_back(&trigger);
   scenario.run(sinks);
   ckpt::reset_shutdown_flag();
-  return {sink.stream, dump_metrics(observation.metrics()),
-          scenario.engine().interrupted()};
+  cap.metrics = dump_metrics(observation.metrics());
+  cap.interrupted = scenario.engine().interrupted();
+  return cap;
 }
 
 /// Early enough to land inside the first 6 h window of the 400-device run.
 constexpr std::uint64_t kShutdownAt = 200;
 
-/// Shutdown at record kShutdownAt, then resume to the horizon: the spliced
-/// stream and the metrics must equal the uninterrupted run's. Returns the
-/// interrupted run's stream prefix.
-std::string interrupt_and_resume(unsigned threads, std::int64_t cadence_hours) {
+/// Shutdown at record kShutdownAt, then resume to the horizon: the stream
+/// and the metrics must equal the uninterrupted run's. Returns the
+/// interrupted run's digest.
+sim::StreamDigest interrupt_and_resume(unsigned threads, std::int64_t cadence_hours) {
   const auto golden = run_shutdown_case(1, {}, 0);
+  expect_families(golden.stream);
   const auto dir = make_temp_dir("shutdown");
-  tracegen::CheckpointOptions ckpt;
+  sim::CheckpointOptions ckpt;
   ckpt.path = dir + "/ckpt.bin";
   ckpt.every_sim_hours = cadence_hours;
 
   const auto cut = run_shutdown_case(threads, ckpt, kShutdownAt);
   EXPECT_TRUE(cut.interrupted);
-  EXPECT_LT(cut.stream.size(), golden.stream.size());
-  EXPECT_EQ(cut.stream, golden.stream.substr(0, cut.stream.size()));
+  EXPECT_LT(cut.stream.records(), golden.stream.records());
 
-  const auto resumed = run_shutdown_case(threads, ckpt, 0, ckpt.path, cut.stream);
+  const auto resumed = run_shutdown_case(threads, ckpt, 0, ckpt.path);
   EXPECT_FALSE(resumed.interrupted);
   EXPECT_EQ(resumed.stream, golden.stream);
   EXPECT_EQ(resumed.metrics, golden.metrics);
@@ -701,32 +581,28 @@ std::string interrupt_and_resume(unsigned threads, std::int64_t cadence_hours) {
   return cut.stream;
 }
 
-std::size_t line_count(const std::string& stream) {
-  return static_cast<std::size_t>(std::count(stream.begin(), stream.end(), '\n'));
-}
-
 TEST(CheckpointRecovery, GracefulShutdownOneShardStopsBetweenWakes) {
   // No cadence and no congestion: the only barrier is the horizon, so an
   // interrupted run must have stopped at the first wake boundary after the
   // trigger, with the triggering wake's records (a handful) still delivered.
-  const auto prefix = interrupt_and_resume(1, 0);
-  EXPECT_GE(line_count(prefix), kShutdownAt);
-  EXPECT_LT(line_count(prefix), kShutdownAt + 100);
+  const auto cut = interrupt_and_resume(1, 0);
+  EXPECT_GE(cut.records(), kShutdownAt);
+  EXPECT_LT(cut.records(), kShutdownAt + 100);
 }
 
 TEST(CheckpointRecovery, GracefulShutdownShardedStopsAtNextBarrier) {
   // Two shards, 6 h cadence: the request lands while the first window is
   // replayed, so the run stops at its 6 h barrier — exactly where a
   // stop-after-6 h run stops.
-  const auto prefix = interrupt_and_resume(2, 6);
+  const auto cut = interrupt_and_resume(2, 6);
   const auto dir = make_temp_dir("stop6");
-  tracegen::CheckpointOptions stop6;
+  sim::CheckpointOptions stop6;
   stop6.path = dir + "/ckpt.bin";
   stop6.stop_after_sim_hours = 6;
   const auto at_barrier = run_shutdown_case(2, stop6, 0);
   EXPECT_TRUE(at_barrier.interrupted);
-  EXPECT_EQ(prefix, at_barrier.stream);
-  EXPECT_GT(line_count(prefix), kShutdownAt);
+  EXPECT_EQ(cut, at_barrier.stream);
+  EXPECT_GT(cut.records(), kShutdownAt);
   fs::remove_all(dir);
 }
 
@@ -735,8 +611,9 @@ TEST(CheckpointRecovery, GracefulShutdownInHorizonWindowCompletesRun) {
   // request is honoured only there — and a window that reaches the horizon
   // completes the run, with its run-summary metrics.
   const auto golden = run_shutdown_case(1, {}, 0);
+  expect_families(golden.stream);
   const auto dir = make_temp_dir("horizon");
-  tracegen::CheckpointOptions ckpt;
+  sim::CheckpointOptions ckpt;
   ckpt.path = dir + "/ckpt.bin";
   const auto run = run_shutdown_case(2, ckpt, kShutdownAt);
   EXPECT_FALSE(run.interrupted);

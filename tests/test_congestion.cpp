@@ -8,9 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
-#include <stdexcept>
 #include <string>
 
 #include "faults/congestion.hpp"
@@ -18,9 +16,13 @@
 #include "faults/resilience_report.hpp"
 #include "obs/observability.hpp"
 #include "signaling/t3346.hpp"
+#include "sim/stream_digest.hpp"
 #include "stats/sim_time.hpp"
 #include "tracegen/storm_scenario.hpp"
 #include "util/binio.hpp"
+
+#include "digest_checks.hpp"
+#include "run_dumps.hpp"
 
 namespace wtr {
 namespace {
@@ -269,64 +271,14 @@ TEST(T3346Timer, StateRoundTrips) {
 
 // --- StormScenario determinism ----------------------------------------------
 
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-class StreamSerializer final : public sim::RecordSink, public ckpt::Checkpointable {
+/// Counts kCongestion results on the signaling stream.
+class CongestionRejects final : public sim::RecordSink {
  public:
-  std::string stream;
-
-  void on_signaling(const signaling::SignalingTransaction& txn,
-                    bool data_context) override {
-    stream += "S:";
-    for (const auto& field : signaling::to_csv_fields(txn)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += data_context ? "dc\n" : "-\n";
-  }
-  void on_cdr(const records::Cdr& cdr) override {
-    stream += "C:";
-    for (const auto& field : records::to_csv_fields(cdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-  void on_xdr(const records::Xdr& xdr) override {
-    stream += "X:";
-    for (const auto& field : records::to_csv_fields(xdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-
-  // Checkpointable: a byte offset, so a resumed run truncates back to the
-  // snapshot instant exactly like a persisted file sink would.
-  void save_state(util::BinWriter& out) const override { out.u64(stream.size()); }
-  void restore_state(util::BinReader& in) override {
-    const auto size = in.u64();
-    if (size > stream.size()) {
-      throw std::runtime_error("stream shorter than snapshot offset");
-    }
-    stream.resize(size);
+  std::uint64_t count = 0;
+  void on_signaling(const signaling::SignalingTransaction& txn, bool) override {
+    if (txn.result == signaling::ResultCode::kCongestion) ++count;
   }
 };
-
-std::string dump_metrics(const obs::MetricsRegistry& metrics) {
-  std::string out;
-  for (const auto& [name, counter] : metrics.counters()) {
-    out += name + "=" + std::to_string(counter.value()) + "\n";
-  }
-  for (const auto& [name, gauge] : metrics.gauges()) {
-    out += name + "=" + hex_double(gauge.value()) + "\n";
-  }
-  return out;
-}
 
 constexpr std::uint64_t kStormSeed = 77;
 
@@ -367,7 +319,8 @@ tracegen::StormScenario probe_scenario() {
 }
 
 struct StormRun {
-  std::string stream;
+  sim::StreamDigest stream;
+  std::uint64_t congestion_rejects = 0;
   std::string metrics;
   std::uint64_t attempts = 0;
   std::uint64_t barred = 0;
@@ -385,10 +338,10 @@ StormRun run_storm(unsigned threads, bool mitigated,
   auto config = storm_config(threads, &model, mitigated);
   config.obs = observation.view();
   tracegen::StormScenario scenario{config};
-  StreamSerializer sink;
-  scenario.run({&sink});
   StormRun run;
-  run.stream = std::move(sink.stream);
+  CongestionRejects rejects;
+  scenario.run({&run.stream, &rejects});
+  run.congestion_rejects = rejects.count;
   run.metrics = dump_metrics(observation.metrics());
   run.attempts = model.total_attempts();
   run.barred = model.total_barred();
@@ -398,22 +351,13 @@ StormRun run_storm(unsigned threads, bool mitigated,
   return run;
 }
 
-std::size_t count_occurrences(const std::string& haystack, const std::string& needle) {
-  std::size_t count = 0;
-  for (auto pos = haystack.find(needle); pos != std::string::npos;
-       pos = haystack.find(needle, pos + needle.size())) {
-    ++count;
-  }
-  return count;
-}
-
 TEST(StormScenario, CongestedRunIsByteIdenticalAcrossThreads) {
   const auto probe = probe_scenario();
   const auto congestion = storm_congestion_config(probe);
   const auto op_count = probe.operator_count();
 
   const auto base = run_storm(1, /*mitigated=*/true, congestion, op_count);
-  ASSERT_FALSE(base.stream.empty());
+  expect_families(base.stream, /*dwell=*/false);
   // The storm must actually congest, or the test proves nothing about the
   // closed loop under sharding.
   ASSERT_GT(base.congested_buckets, 0u);
@@ -436,15 +380,15 @@ TEST(StormScenario, FirmwareFlagsAreRngInvisibleWithoutModel) {
   // contract that keeps every existing scenario byte-identical.
   auto run = [](bool mitigated) {
     tracegen::StormScenario scenario{storm_config(1, nullptr, mitigated)};
-    StreamSerializer sink;
-    scenario.run({&sink});
-    return sink.stream;
+    sim::StreamDigest digest;
+    CongestionRejects rejects;
+    scenario.run({&digest, &rejects});
+    EXPECT_EQ(rejects.count, 0u);
+    return digest;
   };
   const auto honored = run(true);
-  const auto legacy = run(false);
-  ASSERT_FALSE(honored.empty());
-  EXPECT_EQ(honored, legacy);
-  EXPECT_EQ(count_occurrences(honored, "Congestion"), 0u);
+  expect_families(honored, /*dwell=*/false);
+  EXPECT_EQ(honored, run(false));
 }
 
 TEST(StormScenario, MitigationBoundsTheStorm) {
@@ -457,8 +401,8 @@ TEST(StormScenario, MitigationBoundsTheStorm) {
   ASSERT_NE(mitigated.stream, unmitigated.stream);
 
   // Congestion rejects reach the signaling stream as the kCongestion result.
-  const auto rejects_mitigated = count_occurrences(mitigated.stream, "Congestion");
-  const auto rejects_unmitigated = count_occurrences(unmitigated.stream, "Congestion");
+  const auto rejects_mitigated = mitigated.congestion_rejects;
+  const auto rejects_unmitigated = unmitigated.congestion_rejects;
   EXPECT_GT(rejects_unmitigated, 0u);
   // The death spiral: ignoring the backoff means more attach pressure and
   // more rejects; honoring T3346+EAB sheds and spreads the load.
@@ -480,11 +424,10 @@ TEST(StormScenario, CongestionRejectsLandInResilienceReport) {
   tracegen::StormScenario scenario{config};
   static const faults::FaultSchedule kNoFaults{};
   faults::ResilienceReport report{scenario.world(), kNoFaults};
-  StreamSerializer sink;
-  scenario.run({&report, &sink});
+  CongestionRejects rejects;
+  scenario.run({&report, &rejects});
   EXPECT_GT(report.summary().congestion_rejects(), 0u);
-  EXPECT_EQ(report.summary().congestion_rejects(),
-            count_occurrences(sink.stream, "Congestion"));
+  EXPECT_EQ(report.summary().congestion_rejects(), rejects.count);
 }
 
 TEST(StormScenario, ResumeThroughStormWindowIsDeterministic) {
@@ -492,19 +435,16 @@ TEST(StormScenario, ResumeThroughStormWindowIsDeterministic) {
   const auto congestion = storm_congestion_config(probe);
   const auto op_count = probe.operator_count();
 
-  // Golden uninterrupted run (threads=1), stream registered as a
-  // checkpointable so resumed runs can truncate to the snapshot offset.
-  std::string golden;
+  // Golden uninterrupted run (threads=1).
+  sim::StreamDigest golden;
   {
     faults::CongestionModel model{congestion, op_count};
     tracegen::StormScenario scenario{storm_config(1, &model, true)};
-    StreamSerializer sink;
-    scenario.engine().register_checkpointable("stream", &sink);
-    scenario.run({&sink});
-    golden = std::move(sink.stream);
+    CongestionRejects rejects;
+    scenario.run({&golden, &rejects});
+    ASSERT_GT(rejects.count, 0u);
   }
-  ASSERT_FALSE(golden.empty());
-  ASSERT_GT(count_occurrences(golden, "Congestion"), 0u);
+  expect_families(golden, /*dwell=*/false);
 
   for (const unsigned threads : {1u, 2u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -515,33 +455,30 @@ TEST(StormScenario, ResumeThroughStormWindowIsDeterministic) {
 
     // Phase 1: interrupt at hour 4 — in the middle of the second check-in
     // herd, with T3346 timers live and a half-open congestion bucket.
-    std::string partial;
     {
       faults::CongestionModel model{congestion, op_count};
       auto config = storm_config(threads, &model, true);
       config.ckpt.path = ckpt;
       config.ckpt.stop_after_sim_hours = 4;
       tracegen::StormScenario scenario{config};
-      StreamSerializer sink;
+      sim::StreamDigest sink;
       scenario.engine().register_checkpointable("stream", &sink);
       scenario.run({&sink});
       ASSERT_TRUE(scenario.engine().interrupted());
-      partial = std::move(sink.stream);
+      ASSERT_GT(sink.records(), 0u);
+      ASSERT_LT(sink.records(), golden.records());
     }
-    ASSERT_FALSE(partial.empty());
-    ASSERT_LT(partial.size(), golden.size());
-    EXPECT_EQ(partial, golden.substr(0, partial.size()));
 
-    // Phase 2: identical construction (fresh model), restore, run out.
+    // Phase 2: identical construction (fresh model), restore the digest with
+    // the engine, run out.
     faults::CongestionModel model{congestion, op_count};
     tracegen::StormScenario scenario{storm_config(threads, &model, true)};
-    StreamSerializer sink;
-    sink.stream = partial;
+    sim::StreamDigest sink;
     scenario.engine().register_checkpointable("stream", &sink);
     scenario.resume_from(ckpt);
     EXPECT_TRUE(scenario.engine().resumed());
     scenario.run({&sink});
-    EXPECT_EQ(sink.stream, golden);
+    EXPECT_EQ(sink, golden);
 
     fs::remove_all(dir);
   }
@@ -562,7 +499,7 @@ TEST(StormScenario, ResumeRejectsMissingCongestionModel) {
     config.ckpt.path = ckpt;
     config.ckpt.stop_after_sim_hours = 2;
     tracegen::StormScenario scenario{config};
-    StreamSerializer sink;
+    sim::StreamDigest sink;
     scenario.run({&sink});
     ASSERT_TRUE(scenario.engine().interrupted());
   }

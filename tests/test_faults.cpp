@@ -7,8 +7,11 @@
 
 #include "faults/resilience_report.hpp"
 #include "signaling/outcome_policy.hpp"
+#include "sim/stream_digest.hpp"
 #include "stats/rng.hpp"
 #include "tracegen/mno_scenario.hpp"
+
+#include "digest_checks.hpp"
 
 namespace wtr::faults {
 namespace {
@@ -367,41 +370,24 @@ TEST_F(FaultPolicyTest, StructuralChecksStillPrecedeFaults) {
 
 // ---- Empty-schedule bit-identity and faulted determinism -----------------
 
-struct TraceDigest {
-  std::uint64_t signaling = 0;
-  std::uint64_t hash = 0;
-
-  friend bool operator==(const TraceDigest&, const TraceDigest&) = default;
-};
-
-class DigestSink final : public sim::RecordSink {
- public:
-  TraceDigest digest;
-
-  void on_signaling(const signaling::SignalingTransaction& txn, bool) override {
-    ++digest.signaling;
-    digest.hash = stats::mix64(
-        digest.hash, stats::mix64(txn.device ^ static_cast<std::uint64_t>(txn.time),
-                                  txn.visited_plmn.key() ^
-                                      static_cast<std::uint64_t>(txn.result)));
-  }
-};
-
-TraceDigest run_mno(const FaultSchedule* faults) {
+sim::StreamDigest run_mno(const FaultSchedule* faults) {
   tracegen::MnoScenarioConfig config;
   config.seed = 42;
   config.total_devices = 800;
   config.build_coverage = false;
   config.faults = faults;
   tracegen::MnoScenario scenario{config};
-  DigestSink sink;
-  scenario.run({&sink});
-  return sink.digest;
+  sim::StreamDigest digest;
+  scenario.run({&digest});
+  return digest;
 }
+
 
 TEST(FaultDeterminism, EmptyScheduleIsBitIdenticalToNullptr) {
   const FaultSchedule empty;
-  EXPECT_EQ(run_mno(&empty), run_mno(nullptr));
+  const auto with_empty = run_mno(&empty);
+  expect_families(with_empty);
+  EXPECT_EQ(with_empty, run_mno(nullptr));
 }
 
 TEST(FaultDeterminism, FaultedRunReplaysAndDiffersFromBaseline) {
@@ -418,12 +404,13 @@ TEST(FaultDeterminism, FaultedRunReplaysAndDiffersFromBaseline) {
   }
   const auto a = run_mno(&schedule);
   const auto b = run_mno(&schedule);
+  expect_families(a);
   EXPECT_EQ(a, b);
   const auto baseline = run_mno(nullptr);
-  EXPECT_NE(a.hash, baseline.hash);
+  EXPECT_NE(a.hash(), baseline.hash());
   // Failed attaches trigger retries, so the outage *inflates* the stream —
   // the §5 storm mechanism emerging rather than a modelling artefact.
-  EXPECT_GT(a.signaling, baseline.signaling);
+  EXPECT_GT(a.counts().signaling, baseline.counts().signaling);
 }
 
 // ---- ResilienceReport ----------------------------------------------------

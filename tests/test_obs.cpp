@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "io/csv.hpp"
 #include "obs/observability.hpp"
 #include "obs/run_manifest.hpp"
 #include "signaling/transaction.hpp"
+#include "sim/stream_digest.hpp"
 #include "tracegen/mno_scenario.hpp"
+
+#include "digest_checks.hpp"
 
 namespace wtr::obs {
 namespace {
@@ -207,24 +207,7 @@ TEST(EngineProbe, CountsRecordsAndAttachFailures) {
 
 // --- Determinism: instrumented vs bare run ---------------------------------
 
-/// Captures the signaling stream as CSV bytes — the strongest cheap proxy
-/// for "the obs layer does not perturb the simulation".
-class CsvCaptureSink final : public sim::RecordSink {
- public:
-  CsvCaptureSink() : writer_(buffer_) { writer_.write_row(signaling::csv_header()); }
-
-  void on_signaling(const signaling::SignalingTransaction& txn, bool) override {
-    writer_.write_row(signaling::to_csv_fields(txn));
-  }
-
-  [[nodiscard]] std::string str() const { return buffer_.str(); }
-
- private:
-  std::ostringstream buffer_;
-  io::CsvWriter writer_;
-};
-
-std::string run_capture(obs::RunObservation* observation) {
+sim::StreamDigest run_capture(obs::RunObservation* observation) {
   tracegen::MnoScenarioConfig config;
   config.seed = 4242;
   config.total_devices = 400;
@@ -232,17 +215,17 @@ std::string run_capture(obs::RunObservation* observation) {
   config.build_coverage = false;
   if (observation != nullptr) config.obs = observation->view();
   tracegen::MnoScenario scenario{config};
-  CsvCaptureSink sink;
-  scenario.run({&sink});
-  return sink.str();
+  sim::StreamDigest digest;
+  scenario.run({&digest});
+  return digest;
 }
 
 TEST(Observability, InstrumentedRunIsByteIdenticalToBareRun) {
-  const std::string bare = run_capture(nullptr);
+  const auto bare = run_capture(nullptr);
   obs::RunObservation observation;
-  const std::string instrumented = run_capture(&observation);
+  const auto instrumented = run_capture(&observation);
 
-  ASSERT_GT(bare.size(), 1'000u);  // the run actually produced signaling
+  expect_families(bare);
   EXPECT_EQ(bare, instrumented);
 
   // ... and the instrumented run really was instrumented.

@@ -1,9 +1,9 @@
 // Sharded-engine determinism: Engine::Config::threads must never change a
-// single output byte. Every test here serializes the full record stream
-// (all four record families, doubles rendered with %a so equality means
-// bit-equality), the metrics dump and the probe trajectory, and asserts
-// exact string equality between threads=1 and threads∈{2,8} — across all
-// three scenarios and under a non-empty FaultSchedule.
+// single output byte. Every test here digests the full record stream (every
+// field of all four record families, sim::StreamDigest), dumps the metrics
+// and the probe trajectory, and asserts exact equality between threads=1
+// and threads∈{2,8} — across all three scenarios and under a non-empty
+// FaultSchedule.
 //
 // Manifests are compared with timers detached: phase wall-times are the
 // one inherently volatile manifest section (they measure the host, not the
@@ -13,9 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -25,108 +23,25 @@
 #include "obs/observability.hpp"
 #include "obs/run_manifest.hpp"
 #include "sim/record_buffer.hpp"
+#include "sim/stream_digest.hpp"
 #include "stats/sim_time.hpp"
 #include "tracegen/m2m_platform_scenario.hpp"
 #include "tracegen/mno_scenario.hpp"
 #include "tracegen/smip_scenario.hpp"
 #include "util/thread_pool.hpp"
 
+#include "digest_checks.hpp"
+#include "run_dumps.hpp"
+
 namespace wtr {
 namespace {
 
-// --- byte-exact record stream serialization --------------------------------
-
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);  // bit-exact round trip
-  return buf;
-}
-
-class StreamSerializer final : public sim::RecordSink {
- public:
-  std::string stream;
-
-  void on_signaling(const signaling::SignalingTransaction& txn,
-                    bool data_context) override {
-    stream += "S:";
-    for (const auto& field : signaling::to_csv_fields(txn)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += data_context ? "dc\n" : "-\n";
-  }
-  void on_cdr(const records::Cdr& cdr) override {
-    stream += "C:";
-    for (const auto& field : records::to_csv_fields(cdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-  void on_xdr(const records::Xdr& xdr) override {
-    stream += "X:";
-    for (const auto& field : records::to_csv_fields(xdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-  void on_dwell(signaling::DeviceHash device, std::int32_t day,
-                cellnet::Plmn visited_plmn, const cellnet::GeoPoint& location,
-                double seconds) override {
-    stream += "D:";
-    stream += std::to_string(device);
-    stream += ',';
-    stream += std::to_string(day);
-    stream += ',';
-    stream += std::to_string(visited_plmn.key());
-    stream += ',';
-    stream += hex_double(location.lat);
-    stream += ',';
-    stream += hex_double(location.lon);
-    stream += ',';
-    stream += hex_double(seconds);
-    stream += '\n';
-  }
-};
-
-std::string dump_metrics(const obs::MetricsRegistry& metrics) {
-  std::string out;
-  for (const auto& [name, counter] : metrics.counters()) {
-    out += name + "=" + std::to_string(counter.value()) + "\n";
-  }
-  for (const auto& [name, gauge] : metrics.gauges()) {
-    out += name + "=" + hex_double(gauge.value()) + "\n";
-  }
-  for (const auto& [name, hist] : metrics.histograms()) {
-    out += name + ": n=" + std::to_string(hist.count()) +
-           " sum=" + hex_double(hist.sum()) + " buckets=";
-    for (const auto b : hist.bucket_counts()) out += std::to_string(b) + ",";
-    out += "\n";
-  }
-  return out;
-}
-
-std::string dump_probe(const obs::EngineProbe& probe) {
-  std::string out;
-  for (const auto& s : probe.samples()) {
-    out += std::to_string(s.sim_time) + "|" + std::to_string(s.wakes) + "|" +
-           std::to_string(s.queue_depth) + "|" + std::to_string(s.records) + "|" +
-           std::to_string(s.attach_attempts) + "|" +
-           std::to_string(s.attach_failures) + "|" +
-           std::to_string(s.active_fault_episodes) + "\n";
-  }
-  out += "max=" + std::to_string(probe.queue_depth_max());
-  out += " records=" + std::to_string(probe.records_total());
-  out += " failures=" + std::to_string(probe.attach_failures());
-  return out;
-}
-
-/// Everything a run produces, serialized for exact comparison. The manifest
-/// is built with metrics and probe attached but timers detached (see file
-/// header) and a fixed git-describe so the comparison is build-independent.
+/// Everything a run produces, digested or dumped for exact comparison. The
+/// manifest is built with metrics and probe attached but timers detached
+/// (see file header) and a fixed git-describe so the comparison is
+/// build-independent.
 struct RunCapture {
-  std::string stream;
+  sim::StreamDigest stream;
   std::string metrics;
   std::string probe;
   std::string manifest;
@@ -137,10 +52,8 @@ struct RunCapture {
 
 template <typename Scenario>
 RunCapture capture(Scenario& scenario, const obs::RunObservation& observation) {
-  StreamSerializer sink;
-  scenario.run({&sink});
   RunCapture cap;
-  cap.stream = std::move(sink.stream);
+  scenario.run({&cap.stream});
   cap.metrics = dump_metrics(observation.metrics());
   cap.probe = dump_probe(observation.probe());
   obs::RunManifest manifest{"parallel-test"};
@@ -194,6 +107,7 @@ RunCapture run_smip(unsigned threads) {
   return capture(scenario, observation);
 }
 
+
 void expect_identical(const RunCapture& base, const RunCapture& sharded,
                       unsigned threads) {
   SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -208,7 +122,7 @@ void expect_identical(const RunCapture& base, const RunCapture& sharded,
 
 TEST(ParallelEngine, MnoScenarioByteIdentical) {
   const auto base = run_mno(1);
-  ASSERT_FALSE(base.stream.empty());
+  expect_families(base.stream);
   EXPECT_EQ(base.shards, 1u);
   for (const unsigned threads : {2u, 8u}) {
     const auto sharded = run_mno(threads);
@@ -220,7 +134,7 @@ TEST(ParallelEngine, MnoScenarioByteIdentical) {
 
 TEST(ParallelEngine, PlatformScenarioByteIdentical) {
   const auto base = run_platform(1);
-  ASSERT_FALSE(base.stream.empty());
+  expect_families(base.stream);
   for (const unsigned threads : {2u, 8u}) {
     expect_identical(base, run_platform(threads), threads);
   }
@@ -228,9 +142,7 @@ TEST(ParallelEngine, PlatformScenarioByteIdentical) {
 
 TEST(ParallelEngine, SmipScenarioByteIdentical) {
   const auto base = run_smip(1);
-  ASSERT_FALSE(base.stream.empty());
-  // Coverage is on, so dwell records must actually be present in the stream.
-  EXPECT_NE(base.stream.find("D:"), std::string::npos);
+  expect_families(base.stream);
   for (const unsigned threads : {2u, 8u}) {
     expect_identical(base, run_smip(threads), threads);
   }
@@ -262,6 +174,7 @@ TEST(ParallelEngine, FaultScheduleByteIdentical) {
   ASSERT_GT(schedule.size(), 0u);
 
   const auto base = run_mno(1, &schedule, /*backoff=*/true);
+  expect_families(base.stream);
   for (const unsigned threads : {2u, 8u}) {
     const auto sharded = run_mno(threads, &schedule, /*backoff=*/true);
     expect_identical(base, sharded, threads);
@@ -291,7 +204,7 @@ TEST(ParallelEngine, ThreadsClampToAgentCount) {
   tracegen::MnoScenario scenario{config};
   ASSERT_GT(scenario.engine().agent_count(), 0u);
   ASSERT_LT(scenario.engine().agent_count(), 1024u);
-  StreamSerializer sink;
+  sim::StreamDigest sink;
   scenario.run({&sink});
   EXPECT_LE(scenario.engine().shards_used(), scenario.engine().agent_count());
 }
@@ -346,71 +259,36 @@ TEST(ParallelEngine, SinkThrowingMidRunIsRethrown) {
       }
     }
     // Nothing of the failed runs leaks into a fresh one.
-    EXPECT_EQ(run_mno(1).stream, run_mno(threads).stream);
+    const auto base = run_mno(1);
+    expect_families(base.stream);
+    EXPECT_EQ(base.stream, run_mno(threads).stream);
   }
 }
 
-/// FNV-1a-64 over every record field in stream order, plus a record count
-/// per shard (agent index modulo the shard count) for the bound check.
-class ShardCountingHash final : public sim::RecordSink {
+/// Records per shard (agent index modulo the shard count), for the bound
+/// check.
+class ShardRecordCounter final : public sim::RecordSink {
  public:
-  ShardCountingHash(const sim::Engine& engine, std::size_t shards)
+  ShardRecordCounter(const sim::Engine& engine, std::size_t shards)
       : per_shard(shards, 0) {
     for (std::size_t i = 0; i < engine.agent_count(); ++i) {
       shard_of_.emplace(engine.device(i).id, i % shards);
     }
   }
-  std::uint64_t hash = 14695981039346656037ull;
   std::vector<std::uint64_t> per_shard;
 
-  void on_signaling(const signaling::SignalingTransaction& txn,
-                    bool data_context) override {
+  void on_signaling(const signaling::SignalingTransaction& txn, bool) override {
     count(txn.device);
-    for (auto v : {txn.device, static_cast<std::uint64_t>(txn.time),
-                   std::uint64_t{txn.sim_plmn.key()}, std::uint64_t{txn.visited_plmn.key()},
-                   static_cast<std::uint64_t>(txn.procedure),
-                   static_cast<std::uint64_t>(txn.result),
-                   static_cast<std::uint64_t>(txn.rat), std::uint64_t{txn.sector},
-                   std::uint64_t{txn.tac}, std::uint64_t{data_context}}) {
-      mix(v);
-    }
   }
-  void on_cdr(const records::Cdr& cdr) override {
-    count(cdr.device);
-    for (auto v : {cdr.device, static_cast<std::uint64_t>(cdr.time),
-                   std::uint64_t{cdr.sim_plmn.key()}, std::uint64_t{cdr.visited_plmn.key()},
-                   std::bit_cast<std::uint64_t>(cdr.duration_s),
-                   static_cast<std::uint64_t>(cdr.rat)}) {
-      mix(v);
-    }
-  }
-  void on_xdr(const records::Xdr& xdr) override {
-    count(xdr.device);
-    for (auto v : {xdr.device, static_cast<std::uint64_t>(xdr.time),
-                   std::uint64_t{xdr.sim_plmn.key()}, std::uint64_t{xdr.visited_plmn.key()},
-                   xdr.bytes_up, xdr.bytes_down, static_cast<std::uint64_t>(xdr.rat)}) {
-      mix(v);
-    }
-    for (const char c : xdr.apn) mix(static_cast<std::uint8_t>(c));
-  }
-  void on_dwell(signaling::DeviceHash device, std::int32_t day,
-                cellnet::Plmn visited_plmn, const cellnet::GeoPoint& location,
-                double seconds) override {
+  void on_cdr(const records::Cdr& cdr) override { count(cdr.device); }
+  void on_xdr(const records::Xdr& xdr) override { count(xdr.device); }
+  void on_dwell(signaling::DeviceHash device, std::int32_t, cellnet::Plmn,
+                const cellnet::GeoPoint&, double) override {
     count(device);
-    for (auto v : {device, static_cast<std::uint64_t>(day), std::uint64_t{visited_plmn.key()},
-                   std::bit_cast<std::uint64_t>(location.lat),
-                   std::bit_cast<std::uint64_t>(location.lon),
-                   std::bit_cast<std::uint64_t>(seconds)}) {
-      mix(v);
-    }
   }
 
  private:
   void count(signaling::DeviceHash device) { ++per_shard[shard_of_.at(device)]; }
-  void mix(std::uint64_t v) {
-    hash ^= v;
-    hash *= 1099511628211ull;
-  }
   std::unordered_map<signaling::DeviceHash, std::size_t> shard_of_;
 };
 
@@ -428,14 +306,15 @@ TEST(ParallelEngine, WholeHorizonWindowKeepsRecordLogsBounded) {
     config.obs = observation.view();
     config.telemetry.trace_path = trace_path;
     tracegen::MnoScenario scenario{config};
-    ShardCountingHash sink(scenario.engine(), threads);
-    scenario.run({&sink});
-    if (per_shard != nullptr) *per_shard = sink.per_shard;
+    sim::StreamDigest digest;
+    ShardRecordCounter counter(scenario.engine(), threads);
+    scenario.run({&digest, &counter});
+    if (per_shard != nullptr) *per_shard = counter.per_shard;
     if (peak_bytes != nullptr) {
       const auto* gauge = observation.metrics().find_gauge("trace.record_buffer_peak_bytes");
       *peak_bytes = gauge != nullptr ? gauge->value() : -1.0;
     }
-    return sink.hash;
+    return digest;
   };
   const auto trace_path =
       (std::filesystem::temp_directory_path() / "wtr_test_whole_horizon_trace.json")
@@ -443,9 +322,10 @@ TEST(ParallelEngine, WholeHorizonWindowKeepsRecordLogsBounded) {
   constexpr unsigned kShards = 4;
   std::vector<std::uint64_t> per_shard;
   double peak_bytes = 0.0;
-  const auto sharded_hash = run(kShards, trace_path, &per_shard, &peak_bytes);
+  const auto sharded = run(kShards, trace_path, &per_shard, &peak_bytes);
   std::filesystem::remove(trace_path);
-  EXPECT_EQ(sharded_hash, run(1, {}, nullptr, nullptr));
+  expect_families(sharded);
+  EXPECT_EQ(sharded, run(1, {}, nullptr, nullptr));
 
   // Each log holds at most its bound: kLeadChunks unreleased chunks at a
   // wake boundary plus the chunk a wake may overrun into.
@@ -497,13 +377,10 @@ TEST(ThreadPool, PropagatesFirstException) {
   EXPECT_EQ(counter.load(), 1);
 }
 
-TEST(ThreadPool, ZeroWorkersRunsInline) {
-  util::ThreadPool pool(0);
-  int value = 0;
-  pool.submit([&value] { value = 41; });
-  pool.submit([&value] { ++value; });
-  pool.wait();
-  EXPECT_EQ(value, 42);
+TEST(ThreadPool, ZeroWorkersAreRejected) {
+  // A task queued with no worker would never run: the streaming merge waits
+  // on shard publications before it calls wait().
+  EXPECT_THROW(util::ThreadPool(0), std::invalid_argument);
 }
 
 }  // namespace

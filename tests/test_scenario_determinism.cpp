@@ -13,73 +13,57 @@
 #include "core/platform_analysis.hpp"
 #include "faults/congestion.hpp"
 #include "io/bintrace.hpp"
+#include "sim/stream_digest.hpp"
 #include "tracegen/m2m_platform_scenario.hpp"
 #include "tracegen/mno_scenario.hpp"
 #include "tracegen/smip_scenario.hpp"
 #include "tracegen/storm_scenario.hpp"
 
+#include "digest_checks.hpp"
+
 namespace wtr {
 namespace {
 
-struct TraceDigest {
-  std::uint64_t signaling = 0;
-  std::uint64_t hash = 0;
-  std::uint64_t cdrs = 0;
-  std::uint64_t xdrs = 0;
-
-  friend bool operator==(const TraceDigest&, const TraceDigest&) = default;
-};
-
-class DigestSink final : public sim::RecordSink {
- public:
-  TraceDigest digest;
-
-  void on_signaling(const signaling::SignalingTransaction& txn, bool) override {
-    ++digest.signaling;
-    digest.hash = stats::mix64(digest.hash,
-                               stats::mix64(txn.device ^ static_cast<std::uint64_t>(txn.time),
-                                            txn.visited_plmn.key() ^
-                                                static_cast<std::uint64_t>(txn.result)));
-  }
-  void on_cdr(const records::Cdr&) override { ++digest.cdrs; }
-  void on_xdr(const records::Xdr&) override { ++digest.xdrs; }
-};
-
-TraceDigest run_mno(std::uint64_t seed) {
+sim::StreamDigest run_mno(std::uint64_t seed) {
   tracegen::MnoScenarioConfig config;
   config.seed = seed;
   config.total_devices = 800;
   config.build_coverage = false;  // faster; determinism is what we test
   tracegen::MnoScenario scenario{config};
-  DigestSink sink;
-  scenario.run({&sink});
-  return sink.digest;
+  sim::StreamDigest digest;
+  scenario.run({&digest});
+  return digest;
 }
 
+
 TEST(Determinism, MnoScenarioReplays) {
-  EXPECT_EQ(run_mno(42), run_mno(42));
+  const auto first = run_mno(42);
+  expect_families(first);
+  EXPECT_EQ(first, run_mno(42));
 }
 
 TEST(Determinism, MnoScenarioSeedSensitivity) {
-  EXPECT_NE(run_mno(42).hash, run_mno(43).hash);
+  EXPECT_NE(run_mno(42).hash(), run_mno(43).hash());
 }
 
-TraceDigest run_platform(std::uint64_t seed) {
+sim::StreamDigest run_platform(std::uint64_t seed) {
   tracegen::M2MPlatformConfig config;
   config.seed = seed;
   config.total_devices = 800;
   tracegen::M2MPlatformScenario scenario{config};
-  DigestSink sink;
-  scenario.run({&sink});
-  return sink.digest;
+  sim::StreamDigest digest;
+  scenario.run({&digest});
+  return digest;
 }
 
 TEST(Determinism, PlatformScenarioReplays) {
-  EXPECT_EQ(run_platform(7), run_platform(7));
+  const auto first = run_platform(7);
+  expect_families(first);
+  EXPECT_EQ(first, run_platform(7));
 }
 
 TEST(Determinism, PlatformSeedSensitivity) {
-  EXPECT_NE(run_platform(7).hash, run_platform(8).hash);
+  EXPECT_NE(run_platform(7).hash(), run_platform(8).hash());
 }
 
 TEST(Determinism, SmipScenarioReplays) {
@@ -89,12 +73,14 @@ TEST(Determinism, SmipScenarioReplays) {
     config.total_devices = 600;
     config.build_coverage = false;
     tracegen::SmipScenario scenario{config};
-    DigestSink sink;
-    scenario.run({&sink});
-    return sink.digest;
+    sim::StreamDigest digest;
+    scenario.run({&digest});
+    return digest;
   };
-  EXPECT_EQ(run(9), run(9));
-  EXPECT_NE(run(9).hash, run(10).hash);
+  const auto first = run(9);
+  expect_families(first);
+  EXPECT_EQ(first, run(9));
+  EXPECT_NE(run(9).hash(), run(10).hash());
 }
 
 TEST(ScenarioInvariants, GroundTruthCoversAllDevices) {
@@ -135,10 +121,11 @@ TEST(ScenarioInvariants, MultipleSinksSeeSameStream) {
   config.total_devices = 300;
   config.build_coverage = false;
   tracegen::MnoScenario scenario{config};
-  DigestSink a;
-  DigestSink b;
+  sim::StreamDigest a;
+  sim::StreamDigest b;
   scenario.run({&a, &b});
-  EXPECT_EQ(a.digest, b.digest);
+  expect_families(a);
+  EXPECT_EQ(a, b);
 }
 
 TEST(ScenarioInvariants, ScaleChangesDeviceCountRoughlyLinearly) {

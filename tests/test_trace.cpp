@@ -6,11 +6,11 @@
 //    null-recorder and idempotent-close contracts, and the atomic
 //    single-line heartbeat writer.
 //
-//  * Determinism: a traced engine run must produce a byte-identical record
-//    stream, probe trajectory and (trace.*-filtered) metrics dump to an
-//    untraced run, at threads=1 and threads=4 — the recorder observes,
-//    never perturbs. The export itself must carry spans from every shard
-//    plus merge and checkpoint events.
+//  * Determinism: a traced engine run must produce the same record stream
+//    (sim::StreamDigest), probe trajectory and (trace.*-filtered) metrics
+//    dump as an untraced run, at threads=1 and threads=4 — the recorder
+//    observes, never perturbs. The export itself must carry spans from
+//    every shard plus merge and checkpoint events.
 //
 //  * Threading: shard threads open ScopedTimer spans against one shared
 //    PhaseTimers concurrently (scripts/check.sh runs this suite under TSan,
@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -32,9 +31,12 @@
 #include "obs/heartbeat.hpp"
 #include "obs/observability.hpp"
 #include "obs/trace.hpp"
+#include "sim/stream_digest.hpp"
 #include "tracegen/mno_scenario.hpp"
 #include "tracegen/storm_scenario.hpp"
-#include "util/binio.hpp"
+
+#include "digest_checks.hpp"
+#include "run_dumps.hpp"
 
 namespace wtr {
 namespace {
@@ -42,86 +44,6 @@ namespace {
 namespace fs = std::filesystem;
 
 // --- shared plumbing --------------------------------------------------------
-
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-class StreamSerializer final : public sim::RecordSink, public ckpt::Checkpointable {
- public:
-  std::string stream;
-
-  void on_signaling(const signaling::SignalingTransaction& txn,
-                    bool data_context) override {
-    stream += "S:";
-    for (const auto& field : signaling::to_csv_fields(txn)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += data_context ? "dc\n" : "-\n";
-  }
-  void on_cdr(const records::Cdr& cdr) override {
-    stream += "C:";
-    for (const auto& field : records::to_csv_fields(cdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-  void on_xdr(const records::Xdr& xdr) override {
-    stream += "X:";
-    for (const auto& field : records::to_csv_fields(xdr)) {
-      stream += field;
-      stream += ',';
-    }
-    stream += '\n';
-  }
-
-  void save_state(util::BinWriter& out) const override { out.u64(stream.size()); }
-  void restore_state(util::BinReader& in) override {
-    const auto size = in.u64();
-    if (size > stream.size()) {
-      throw std::runtime_error("stream shorter than snapshot offset");
-    }
-    stream.resize(size);
-  }
-};
-
-/// Metrics dump with the trace.* family filtered out: those gauges are
-/// wall-clock-derived and only published on traced runs, so byte-identity
-/// claims compare everything else.
-std::string dump_metrics_filtered(const obs::MetricsRegistry& metrics) {
-  const auto volatile_name = [](const std::string& name) {
-    return name.rfind("trace.", 0) == 0;
-  };
-  std::string out;
-  for (const auto& [name, counter] : metrics.counters()) {
-    if (volatile_name(name)) continue;
-    out += name + "=" + std::to_string(counter.value()) + "\n";
-  }
-  for (const auto& [name, gauge] : metrics.gauges()) {
-    if (volatile_name(name)) continue;
-    out += name + "=" + hex_double(gauge.value()) + "\n";
-  }
-  return out;
-}
-
-std::string dump_probe(const obs::EngineProbe& probe) {
-  std::string out;
-  for (const auto& s : probe.samples()) {
-    out += std::to_string(s.sim_time) + "|" + std::to_string(s.wakes) + "|" +
-           std::to_string(s.queue_depth) + "|" + std::to_string(s.records) + "|" +
-           std::to_string(s.attach_attempts) + "|" +
-           std::to_string(s.attach_failures) + "|" +
-           std::to_string(s.active_fault_episodes) + "\n";
-  }
-  out += "max=" + std::to_string(probe.queue_depth_max());
-  out += " records=" + std::to_string(probe.records_total());
-  out += " failures=" + std::to_string(probe.attach_failures());
-  return out;
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream in{path, std::ios::binary};
@@ -294,8 +216,9 @@ TEST(Heartbeat, MaybeWriteRateLimits) {
 
 // --- engine integration: tracing never perturbs -----------------------------
 
+
 struct MnoCapture {
-  std::string stream;
+  sim::StreamDigest stream;
   std::string metrics;
   std::string probe;
 };
@@ -315,18 +238,16 @@ MnoCapture run_mno(unsigned threads, const std::string& trace_path,
   config.telemetry.heartbeat_path = heartbeat_path;
   config.telemetry.heartbeat_every_wall_s = 0.0;
   tracegen::MnoScenario scenario{config};
-  StreamSerializer sink;
-  scenario.run({&sink});
   MnoCapture cap;
-  cap.stream = std::move(sink.stream);
-  cap.metrics = dump_metrics_filtered(observation.metrics());
+  scenario.run({&cap.stream});
+  cap.metrics = dump_metrics(observation.metrics());
   cap.probe = dump_probe(observation.probe());
   return cap;
 }
 
 TEST(TracedEngine, TraceOnOffByteIdenticalAcrossThreads) {
   const auto golden = run_mno(1, "");
-  ASSERT_FALSE(golden.stream.empty());
+  expect_families(golden.stream);
   for (const unsigned threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const auto path =
@@ -372,7 +293,7 @@ TEST(TracedEngine, CheckpointSpansAppearInExport) {
   config.ckpt.path = dir + "/ckpt.bin";
   config.telemetry.trace_path = dir + "/trace.json";
   tracegen::MnoScenario scenario{config};
-  StreamSerializer sink;
+  sim::StreamDigest sink;
   scenario.engine().register_checkpointable("stream", &sink);
   scenario.run({&sink});
   ASSERT_GT(scenario.engine().checkpoints_written(), 0u);
@@ -401,7 +322,7 @@ TEST(TracedEngine, TinyRingOverflowsGracefully) {
   config.ckpt.every_sim_hours = 6;
   config.ckpt.path = dir + "/ckpt.bin";
   tracegen::MnoScenario scenario{config};
-  StreamSerializer sink;
+  sim::StreamDigest sink;
   scenario.engine().register_checkpointable("stream", &sink);
   scenario.run({&sink});
   auto* recorder = scenario.engine().flight_recorder();
@@ -482,63 +403,55 @@ TEST(PhaseTimersThreaded, NestingStacksArePerThread) {
 // --- EngineProbe across checkpoint/resume -----------------------------------
 
 TEST(ProbeResume, TrajectoryIdenticalAfterResume) {
-  // Golden uninterrupted run.
-  MnoCapture golden;
-  {
-    obs::RunObservation observation;
+  const auto config_for = [](obs::RunObservation& observation) {
     tracegen::MnoScenarioConfig config;
     config.seed = 42;
     config.total_devices = 300;
     config.build_coverage = false;
     config.obs = observation.view();
-    tracegen::MnoScenario scenario{config};
-    StreamSerializer sink;
-    scenario.engine().register_checkpointable("stream", &sink);
-    scenario.run({&sink});
-    golden.stream = std::move(sink.stream);
-    golden.probe = dump_probe(observation.probe());
+    return config;
+  };
+  // Golden uninterrupted run.
+  sim::StreamDigest golden;
+  std::string golden_probe;
+  {
+    obs::RunObservation observation;
+    tracegen::MnoScenario scenario{config_for(observation)};
+    scenario.engine().register_checkpointable("stream", &golden);
+    scenario.run({&golden});
+    golden_probe = dump_probe(observation.probe());
   }
-  ASSERT_FALSE(golden.stream.empty());
+  expect_families(golden);
 
   const auto dir = temp_path("wtr_test_probe_resume");
   fs::create_directories(dir);
   const std::string ckpt = dir + "/ckpt.bin";
 
   // Phase 1: deterministic interrupt at day 8.
-  std::string partial;
   {
     obs::RunObservation observation;
-    tracegen::MnoScenarioConfig config;
-    config.seed = 42;
-    config.total_devices = 300;
-    config.build_coverage = false;
-    config.obs = observation.view();
+    auto config = config_for(observation);
     config.ckpt.path = ckpt;
     config.ckpt.stop_after_sim_hours = 8 * 24;
     tracegen::MnoScenario scenario{config};
-    StreamSerializer sink;
+    sim::StreamDigest sink;
     scenario.engine().register_checkpointable("stream", &sink);
     scenario.run({&sink});
     ASSERT_TRUE(scenario.engine().interrupted());
-    partial = std::move(sink.stream);
+    EXPECT_LT(sink.records(), golden.records());
   }
 
-  // Phase 2: resume and run out; the probe trajectory (samples and totals)
-  // must equal the uninterrupted run's exactly.
+  // Phase 2: resume and run out. The digest continues from the snapshot, and
+  // the stream and the probe trajectory (samples and totals) must equal the
+  // uninterrupted run's exactly.
   obs::RunObservation observation;
-  tracegen::MnoScenarioConfig config;
-  config.seed = 42;
-  config.total_devices = 300;
-  config.build_coverage = false;
-  config.obs = observation.view();
-  tracegen::MnoScenario scenario{config};
-  StreamSerializer sink;
-  sink.stream = partial;
+  tracegen::MnoScenario scenario{config_for(observation)};
+  sim::StreamDigest sink;
   scenario.engine().register_checkpointable("stream", &sink);
   scenario.resume_from(ckpt);
   scenario.run({&sink});
-  EXPECT_EQ(sink.stream, golden.stream);
-  EXPECT_EQ(dump_probe(observation.probe()), golden.probe);
+  EXPECT_EQ(sink, golden);
+  EXPECT_EQ(dump_probe(observation.probe()), golden_probe);
   fs::remove_all(dir);
 }
 
@@ -571,7 +484,7 @@ TEST(ProbeResume, TrajectoryIdenticalAfterMidStormResume) {
     op_count = probe.operator_count();
   }
 
-  std::string golden_stream;
+  sim::StreamDigest golden;
   std::string golden_probe;
   {
     obs::RunObservation observation;
@@ -579,20 +492,19 @@ TEST(ProbeResume, TrajectoryIdenticalAfterMidStormResume) {
     auto config = storm_config(&model);
     config.obs = observation.view();
     tracegen::StormScenario scenario{config};
-    StreamSerializer sink;
-    scenario.engine().register_checkpointable("stream", &sink);
-    scenario.run({&sink});
-    golden_stream = std::move(sink.stream);
+    scenario.engine().register_checkpointable("stream", &golden);
+    scenario.run({&golden});
     golden_probe = dump_probe(observation.probe());
+    const auto* rejects = observation.metrics().find_counter("signaling.result.Congestion");
+    ASSERT_NE(rejects, nullptr);
+    ASSERT_GT(rejects->value(), 0u);
   }
-  ASSERT_FALSE(golden_stream.empty());
-  ASSERT_GT(count_occurrences(golden_stream, "Congestion"), 0u);
+  expect_families(golden, /*dwell=*/false);
 
   const auto dir = temp_path("wtr_test_probe_storm_resume");
   fs::create_directories(dir);
   const std::string ckpt = dir + "/ckpt.bin";
 
-  std::string partial;
   {
     obs::RunObservation observation;
     faults::CongestionModel model{congestion, op_count};
@@ -601,27 +513,25 @@ TEST(ProbeResume, TrajectoryIdenticalAfterMidStormResume) {
     config.ckpt.path = ckpt;
     config.ckpt.stop_after_sim_hours = 9;
     tracegen::StormScenario scenario{config};
-    StreamSerializer sink;
+    sim::StreamDigest sink;
     scenario.engine().register_checkpointable("stream", &sink);
     scenario.run({&sink});
     ASSERT_TRUE(scenario.engine().interrupted());
-    partial = std::move(sink.stream);
+    ASSERT_GT(sink.records(), 0u);
+    ASSERT_LT(sink.records(), golden.records());
   }
-  ASSERT_FALSE(partial.empty());
-  ASSERT_LT(partial.size(), golden_stream.size());
 
   obs::RunObservation observation;
   faults::CongestionModel model{congestion, op_count};
   auto config = storm_config(&model);
   config.obs = observation.view();
   tracegen::StormScenario scenario{config};
-  StreamSerializer sink;
-  sink.stream = partial;
+  sim::StreamDigest sink;
   scenario.engine().register_checkpointable("stream", &sink);
   scenario.resume_from(ckpt);
   EXPECT_TRUE(scenario.engine().resumed());
   scenario.run({&sink});
-  EXPECT_EQ(sink.stream, golden_stream);
+  EXPECT_EQ(sink, golden);
   EXPECT_EQ(dump_probe(observation.probe()), golden_probe);
   fs::remove_all(dir);
 }
