@@ -256,7 +256,7 @@ TraceFormatGuard run_trace_format_guard() {
       fold += cdr.device ^ static_cast<std::uint64_t>(cdr.time);
     }
     void on_xdr(const records::Xdr& xdr) override {
-      fold += xdr.device ^ xdr.bytes_up ^ xdr.bytes_down ^ xdr.apn.size();
+      fold += xdr.device ^ xdr.bytes_up ^ xdr.bytes_down ^ xdr.apn.text().size();
     }
     void on_dwell(signaling::DeviceHash device, std::int32_t, cellnet::Plmn,
                   const cellnet::GeoPoint&, double) override {

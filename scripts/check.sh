@@ -12,11 +12,13 @@
 #     skewed by parallel load.
 #  2. Thread-sanitizer gate — a second sanitizer tree (TSan cannot be
 #     combined with ASan) building the sharded-engine determinism suite, the
-#     per-shard record log's stress suite and the golden scenario suite and
-#     running them under TSan: the shard loops and the merge that drains
-#     their logs run on real threads there, so any data race in the parallel
-#     engine — or on the world tables every shard reads (per-country
-#     operator index, steering preferences) — fails the gate. The storm lane
+#     per-shard record log's stress suite, the APN intern table's suite and
+#     the golden scenario suite and running them under TSan: the shard loops
+#     and the merge that drains their logs run on real threads there, so any
+#     data race in the parallel engine — on the world tables every shard
+#     reads (per-country operator index, steering preferences), or on the
+#     process-wide APN intern table whose ids cross the shard->merge log —
+#     fails the gate. The storm lane
 #     rides this tree: the closed-loop congestion suite (shard-private
 #     ledgers merging at engine barriers) runs under TSan too, then the
 #     ASan tree drives kill injection through an overload window
@@ -82,17 +84,21 @@ cmake -B "$tsan_dir" -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$tsan_dir" -j "$(nproc)" --target test_parallel_engine test_congestion \
-  test_scenario_determinism test_record_buffer
+  test_scenario_determinism test_record_buffer test_apn
 
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_parallel_engine"
 # The per-shard record log on its own: a producer thread streaming 200k
 # wakes against a consumer that replays them meanwhile and stalls now and
-# then, so the bound, the blocking waits and chunk reuse all run under TSan.
+# then, so the bound, the blocking waits and chunk reuse all run under TSan;
+# the consumer reads the texts of APN ids the producer's records carry.
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_record_buffer"
+# The APN intern table: four threads interning overlapping text sets (one
+# lock for inserts, none for reading an id's text).
+TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_apn"
 # Golden scenario bytes (threads=1 and threads=4 pin the same value) with
 # shard threads reading the shared per-country index and steering tables.
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_scenario_determinism"
-echo "check.sh: sharded engine race-free under TSan (parallel engine + record log + golden scenarios)"
+echo "check.sh: sharded engine race-free under TSan (parallel engine + record log + APN table + golden scenarios)"
 
 # --- Storm lane -------------------------------------------------------------
 # The congestion model's shard-private attempt ledgers merge on the engine's

@@ -1,6 +1,9 @@
 #include "cellnet/apn.hpp"
 
 #include <cctype>
+#include <functional>
+#include <mutex>
+#include <unordered_set>
 
 namespace wtr::cellnet {
 
@@ -81,6 +84,27 @@ Apn Apn::parse(std::string_view text) {
     }
   }
   return Apn{lower};
+}
+
+ApnId ApnId::intern(std::string_view text) {
+  if (text.empty()) return {};
+  struct Hash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  struct Table {
+    std::mutex mutex;
+    // Node-based: an entry's string stays where it is when the set rehashes.
+    std::unordered_set<std::string, Hash, std::equal_to<>> texts;
+  };
+  // Never destroyed, so ids stay readable through static destruction.
+  static Table* const table = new Table;
+  const std::lock_guard lock(table->mutex);
+  auto it = table->texts.find(text);
+  if (it == table->texts.end()) it = table->texts.emplace(text).first;
+  return ApnId{&*it};
 }
 
 bool Apn::contains_keyword(std::string_view keyword) const {

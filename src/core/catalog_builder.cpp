@@ -92,22 +92,16 @@ void CatalogAccumulator::add_visited(Partial& partial, cellnet::Plmn plmn) {
   if (std::find(visited.begin(), visited.end(), plmn) == visited.end()) visited.push_back(plmn);
 }
 
-void CatalogAccumulator::add_apn(Partial& partial, const std::string& text) {
-  if (text.empty()) return;
-  const auto same_text = [&](std::uint32_t id) { return *apn_texts_[id] == text; };
-  if (std::any_of(partial.apns, partial.apns + partial.apn_count, same_text)) return;
-  if (partial.overflow != kNone) {
-    const auto& more = overflow_[partial.overflow].apns;
-    if (std::any_of(more.begin(), more.end(), same_text)) return;
-  }
-  const auto [it, inserted] =
-      apn_ids_.try_emplace(text, static_cast<std::uint32_t>(apn_texts_.size()));
-  if (inserted) apn_texts_.push_back(&it->first);
+void CatalogAccumulator::add_apn(Partial& partial, cellnet::ApnId apn) {
+  if (apn.empty()) return;
+  const auto inline_end = partial.apns + partial.apn_count;
+  if (std::find(partial.apns, inline_end, apn) != inline_end) return;
   if (partial.apn_count < kInlineApns) {
-    partial.apns[partial.apn_count++] = it->second;
-  } else {
-    overflow_of(partial).apns.push_back(it->second);
+    partial.apns[partial.apn_count++] = apn;
+    return;
   }
+  auto& apns = overflow_of(partial).apns;
+  if (std::find(apns.begin(), apns.end(), apn) == apns.end()) apns.push_back(apn);
 }
 
 void CatalogAccumulator::on_signaling(const signaling::SignalingTransaction& txn,
@@ -206,10 +200,10 @@ records::DevicesCatalog CatalogAccumulator::finalize() {
         partial.apn_count + (overflow != nullptr ? overflow->apns.size() : 0);
     record.apns.reserve(apn_count);
     for (std::size_t i = 0; i < partial.apn_count; ++i) {
-      record.apns.push_back(*apn_texts_[partial.apns[i]]);
+      record.apns.emplace_back(partial.apns[i].text());
     }
     if (overflow != nullptr) {
-      for (const std::uint32_t id : overflow->apns) record.apns.push_back(*apn_texts_[id]);
+      for (const cellnet::ApnId apn : overflow->apns) record.apns.emplace_back(apn.text());
     }
     std::sort(record.apns.begin(), record.apns.end());
     record.tac = partial.tac;
@@ -230,8 +224,6 @@ records::DevicesCatalog CatalogAccumulator::finalize() {
   index_ = {};
   last_row_ = kNone;
   overflow_ = {};
-  apn_ids_ = {};
-  apn_texts_ = {};
   return catalog;
 }
 

@@ -18,7 +18,6 @@
 #include <memory>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "core/mobility_metrics.hpp"
@@ -55,7 +54,7 @@ class CatalogAccumulator final : public sim::RecordSink {
   // (device, day); a row that outgrows the inline arrays keeps the rest in
   // overflow_.
   static constexpr std::size_t kInlinePlmns = 3;
-  static constexpr std::size_t kInlineApns = 2;
+  static constexpr std::size_t kInlineApns = 1;
   static constexpr std::uint32_t kChunkRows = 4096;
   static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
@@ -68,11 +67,11 @@ class CatalogAccumulator final : public sim::RecordSink {
     std::uint64_t bytes = 0;
     double call_seconds = 0.0;
     GyrationAccumulator gyration;
+    cellnet::ApnId apns[kInlineApns] = {};
     std::int32_t day = 0;
     std::uint32_t calls = 0;
     cellnet::Tac tac = 0;
-    std::uint32_t apns[kInlineApns] = {};  // ids into apn_texts_
-    std::uint32_t overflow = kNone;        // index into overflow_
+    std::uint32_t overflow = kNone;  // index into overflow_
     cellnet::Plmn sim_plmn{};
     cellnet::Plmn visited[kInlinePlmns] = {};
     std::uint8_t visited_count = 0;
@@ -85,7 +84,7 @@ class CatalogAccumulator final : public sim::RecordSink {
 
   struct Overflow {
     std::vector<cellnet::Plmn> visited;
-    std::vector<std::uint32_t> apns;
+    std::vector<cellnet::ApnId> apns;
   };
 
   [[nodiscard]] bool in_family(cellnet::Plmn plmn) const noexcept;
@@ -95,7 +94,7 @@ class CatalogAccumulator final : public sim::RecordSink {
                        cellnet::Plmn sim_plmn);
   void grow_index();
   void add_visited(Partial& partial, cellnet::Plmn plmn);
-  void add_apn(Partial& partial, const std::string& text);
+  void add_apn(Partial& partial, cellnet::ApnId apn);
   Overflow& overflow_of(Partial& partial);
 
   Config config_;
@@ -106,10 +105,6 @@ class CatalogAccumulator final : public sim::RecordSink {
   std::vector<std::uint32_t> index_;   // open addressing: row numbers, kNone = empty
   std::uint32_t last_row_ = kNone;     // row of the previous record
   std::vector<Overflow> overflow_;
-  // APN dictionary: each distinct text once, ids in first-seen order. The
-  // texts are the map's keys, which stay put when the map rehashes.
-  std::unordered_map<std::string, std::uint32_t> apn_ids_;
-  std::vector<const std::string*> apn_texts_;
   std::uint64_t accepted_ = 0;
 };
 

@@ -35,7 +35,7 @@ struct Device {
   /// FeatureUnsupported on 4G — in the platform's 4G-only trace such
   /// devices appear as pure-failure devices (§3.3's 40%).
   cellnet::RatMask sim_allowed_rats{0b1111};
-  cellnet::Apn apn{};             // data APN; empty when the device has none
+  cellnet::ApnId apn{};           // data APN; empty when the device has none
   bool subscription_ok = true;
   /// Fleet tag for fault-schedule scoping (faults::kAnyFaultDomain = 0 for
   /// untagged devices): misprovisioning ramps target a specific fleet.

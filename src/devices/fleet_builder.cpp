@@ -106,26 +106,30 @@ std::vector<Device> FleetBuilder::build(const FleetSpec& spec) {
 
     // APN assignment. A data-less device keeps an empty APN regardless of
     // policy (§4.3: 21% of devices expose no APN — voice-only usage).
+    // The wire text is rendered and interned once, here; every xDR the
+    // device emits copies the id.
     if (device.uses_data() && spec.apn_policy != ApnPolicy::kNone) {
+      cellnet::Apn apn;
       switch (spec.apn_policy) {
         case ApnPolicy::kVerticalCompany: {
           if (!companies.empty()) {
             const auto& company = companies[rng_.weighted_index(company_weights)];
-            device.apn = make_vertical_apn(company, home_plmn, rng_);
+            apn = make_vertical_apn(company, home_plmn, rng_);
           } else {
-            device.apn = make_platform_apn(home_plmn, rng_);
+            apn = make_platform_apn(home_plmn, rng_);
           }
           break;
         }
         case ApnPolicy::kConsumer:
-          device.apn = make_consumer_apn(home_plmn, rng_);
+          apn = make_consumer_apn(home_plmn, rng_);
           break;
         case ApnPolicy::kM2MPlatform:
-          device.apn = make_platform_apn(home_plmn, rng_);
+          apn = make_platform_apn(home_plmn, rng_);
           break;
         case ApnPolicy::kNone:
           break;
       }
+      device.apn = cellnet::ApnId::intern(apn.to_string());
     }
 
     // Placement: scattered around the deployment country's anchor.

@@ -408,8 +408,9 @@ BinaryTraceStats BinaryTraceReader::replay(sim::RecordSink& sink) {
           block.expect_exhausted("binary trace xdr block");
           return c;
         });
+        const auto apns = records::bin_intern_apns(columns, strings);
         for (std::size_t i = 0; i < count; ++i) {
-          if (const auto xdr = records::bin_extract(columns, plmns, strings, i)) {
+          if (const auto xdr = records::bin_extract(columns, plmns, apns, i)) {
             sink.on_xdr(*xdr);
             ++stats.delivered;
           } else {

@@ -6,7 +6,8 @@
 // child (stale file mtime) from a merely *slow* one (fresh mtime, slow
 // sim-time progress). scripts/run_supervised.sh polls it when
 // WTR_SUPERVISE_HANG_TIMEOUT_S is set; the format doubles as the liveness
-// primitive for the future resident daemon (ROADMAP item 5).
+// primitive for a future resident simulation service (deferred in the
+// ROADMAP).
 //
 // Like the flight recorder, the heartbeat observes and never perturbs:
 // no RNG, wall-clock values go only to this side file (never into records,

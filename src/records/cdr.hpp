@@ -7,6 +7,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cellnet/plmn.hpp"
@@ -25,6 +26,7 @@ struct Cdr {
   double duration_s = 0.0;
   cellnet::Rat rat = cellnet::Rat::kTwoG;
 };
+static_assert(std::is_trivially_copyable_v<Cdr>);
 
 [[nodiscard]] std::vector<std::string> to_csv_fields(const Cdr& cdr);
 [[nodiscard]] std::vector<std::string> cdr_csv_header();

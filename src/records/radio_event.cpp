@@ -4,14 +4,6 @@
 
 namespace wtr::records {
 
-RadioEvent make_radio_event(const signaling::SignalingTransaction& txn,
-                            bool data_context) {
-  RadioEvent event;
-  event.txn = txn;
-  event.iface = cellnet::interface_for(txn.rat, data_context);
-  return event;
-}
-
 void RadioColumns::clear() {
   device.clear();
   time.clear();

@@ -16,21 +16,10 @@
 
 namespace wtr::records {
 
-struct RadioEvent {
-  signaling::SignalingTransaction txn{};
-  cellnet::RadioInterface iface = cellnet::RadioInterface::kA;
-};
-
-/// Convenience: the interface an event belongs on, derived from RAT and
-/// whether the triggering activity was data or voice.
-[[nodiscard]] RadioEvent make_radio_event(const signaling::SignalingTransaction& txn,
-                                          bool data_context);
-
 // --- Binary columnar codec (io/bintrace block payloads) ---------------------
 // One signaling transaction per row; covers both the platform-transaction
 // and radio-event streams (same wire struct). The interface family is not
-// stored — it is derived from (rat, data_context), exactly as
-// make_radio_event does.
+// stored — cellnet::interface_for(rat, data_context) derives it.
 
 struct RadioColumns {
   std::vector<std::uint64_t> device;

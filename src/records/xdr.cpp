@@ -17,7 +17,7 @@ std::vector<std::string> to_csv_fields(const Xdr& xdr) {
           xdr.visited_plmn.to_string(),
           std::to_string(xdr.bytes_up),
           std::to_string(xdr.bytes_down),
-          xdr.apn,
+          std::string(xdr.apn.text()),
           std::string(cellnet::rat_name(xdr.rat))};
 }
 
@@ -38,7 +38,7 @@ std::optional<Xdr> xdr_from_csv_fields(std::span<const std::string> fields) {
   xdr.visited_plmn = *visited;
   xdr.bytes_up = *up;
   xdr.bytes_down = *down;
-  xdr.apn = fields[6];
+  xdr.apn = cellnet::ApnId::intern(fields[6]);
   xdr.rat = *rat;
   return xdr;
 }
@@ -61,7 +61,10 @@ void bin_append(XdrColumns& columns, io::TraceDict& dict, const Xdr& xdr) {
   columns.visited_plmn.push_back(intern_plmn(dict, xdr.visited_plmn));
   columns.bytes_up.push_back(xdr.bytes_up);
   columns.bytes_down.push_back(xdr.bytes_down);
-  columns.apn.push_back(dict.intern(xdr.apn));
+  // Keyed by the id with the top bit set, which no PLMN key reaches
+  // (records/plmn_column.hpp), so the text is copied once per block.
+  columns.apn.push_back(dict.intern((std::uint64_t{1} << 63) | xdr.apn.key(),
+                                    [apn = xdr.apn] { return apn.text(); }));
   columns.rat.push_back(static_cast<std::uint8_t>(xdr.rat));
 }
 
@@ -89,9 +92,19 @@ XdrColumns bin_read_xdr(util::BinReader& in, std::size_t n, std::size_t dict_siz
   return columns;
 }
 
+std::vector<cellnet::ApnId> bin_intern_apns(const XdrColumns& columns,
+                                             std::span<const std::string> dict) {
+  std::vector<cellnet::ApnId> apns(dict.size());
+  // An empty entry stays empty; interning the empty text takes no lock.
+  for (const std::uint32_t i : columns.apn) {
+    if (apns[i].empty()) apns[i] = cellnet::ApnId::intern(dict[i]);
+  }
+  return apns;
+}
+
 std::optional<Xdr> bin_extract(const XdrColumns& columns,
                                std::span<const std::optional<cellnet::Plmn>> plmns,
-                               std::span<const std::string> dict, std::size_t i) {
+                               std::span<const cellnet::ApnId> apns, std::size_t i) {
   const auto& sim = plmns[columns.sim_plmn[i]];
   const auto& visited = plmns[columns.visited_plmn[i]];
   if (!sim || !visited || columns.rat[i] >= cellnet::kRatCount) return std::nullopt;
@@ -102,7 +115,7 @@ std::optional<Xdr> bin_extract(const XdrColumns& columns,
   xdr.visited_plmn = *visited;
   xdr.bytes_up = columns.bytes_up[i];
   xdr.bytes_down = columns.bytes_down[i];
-  xdr.apn = dict[columns.apn[i]];
+  xdr.apn = apns[columns.apn[i]];
   xdr.rat = static_cast<cellnet::Rat>(columns.rat[i]);
   return xdr;
 }

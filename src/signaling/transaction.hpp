@@ -11,6 +11,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cellnet/imei.hpp"
@@ -37,6 +38,7 @@ struct SignalingTransaction {
   cellnet::SectorId sector = 0;  // serving sector (MNO-side records only)
   cellnet::Tac tac = 0;          // equipment TAC (radio logs carry it, §4.1)
 };
+static_assert(std::is_trivially_copyable_v<SignalingTransaction>);
 
 /// CSV projection used by trace export (one row per transaction).
 [[nodiscard]] std::vector<std::string> to_csv_fields(const SignalingTransaction& txn);

@@ -332,7 +332,7 @@ void DeviceAgent::do_session(const AgentContext& ctx, SimTime now) {
     xdr.visited_plmn = visited_plmn;
     xdr.bytes_up = static_cast<std::uint64_t>(static_cast<double>(bytes) * up_fraction);
     xdr.bytes_down = bytes - xdr.bytes_up;
-    xdr.apn = device_->apn.to_string();
+    xdr.apn = device_->apn;
     xdr.rat = serving_.rat;
     ctx.sink->on_xdr(xdr);
   }
@@ -406,7 +406,7 @@ void DeviceAgent::maybe_fota(const AgentContext& ctx, SimTime now) {
   xdr.bytes_down = static_cast<std::uint64_t>(options_->fota.image_bytes * fraction);
   xdr.bytes_up = static_cast<std::uint64_t>(
       std::max(1.0, options_->fota.image_bytes * 0.01));
-  xdr.apn = device_->apn.to_string();
+  xdr.apn = device_->apn;
   xdr.rat = serving_.rat;
   ctx.sink->on_xdr(xdr);
 

@@ -1,9 +1,7 @@
 #include "sim/record_buffer.hpp"
 
-#include <cstring>
 #include <new>
 #include <stdexcept>
-#include <string>
 #include <type_traits>
 
 namespace wtr::sim {
@@ -29,17 +27,9 @@ struct CdrEntry {
   Tag tag = Tag::kCdr;
   records::Cdr cdr;
 };
-/// Followed by `apn_size` bytes of APN text.
 struct XdrEntry {
   Tag tag = Tag::kXdr;
-  cellnet::Rat rat = cellnet::Rat::kTwoG;
-  std::uint32_t apn_size = 0;
-  signaling::DeviceHash device = 0;
-  stats::SimTime time = 0;
-  cellnet::Plmn sim_plmn{};
-  cellnet::Plmn visited_plmn{};
-  std::uint64_t bytes_up = 0;
-  std::uint64_t bytes_down = 0;
+  records::Xdr xdr;
 };
 struct DwellEntry {
   Tag tag = Tag::kDwell;
@@ -59,10 +49,6 @@ static_assert(std::is_trivially_copyable_v<WakeEntry> &&
 static_assert(sizeof(WakeEntry) % kAlign == 0 && sizeof(SignalingEntry) % kAlign == 0 &&
               sizeof(CdrEntry) % kAlign == 0 && sizeof(XdrEntry) % kAlign == 0 &&
               sizeof(DwellEntry) % kAlign == 0);
-
-constexpr std::size_t round_up(std::size_t bytes) noexcept {
-  return (bytes + kAlign - 1) & ~(kAlign - 1);
-}
 
 template <typename Entry>
 const Entry& entry_at(const std::byte* at) noexcept {
@@ -213,19 +199,7 @@ void RecordBuffer::on_cdr(const records::Cdr& cdr) {
 }
 
 void RecordBuffer::on_xdr(const records::Xdr& xdr) {
-  const std::size_t bytes = round_up(sizeof(XdrEntry) + xdr.apn.size());
-  if (bytes > sizeof(Chunk::data) - kAlign) {
-    throw std::length_error("sim::RecordBuffer: xDR APN of " +
-                            std::to_string(xdr.apn.size()) +
-                            " bytes does not fit a record log chunk");
-  }
-  std::byte* at = reserve(bytes);
-  new (at) XdrEntry{Tag::kXdr,         xdr.rat,
-                    static_cast<std::uint32_t>(xdr.apn.size()),
-                    xdr.device,         xdr.time,
-                    xdr.sim_plmn,       xdr.visited_plmn,
-                    xdr.bytes_up,       xdr.bytes_down};
-  std::memcpy(at + sizeof(XdrEntry), xdr.apn.data(), xdr.apn.size());
+  new (reserve(sizeof(XdrEntry))) XdrEntry{Tag::kXdr, xdr};
   ++open_records_;
 }
 
@@ -304,21 +278,10 @@ stats::SimTime RecordBuffer::replay_wake(RecordSink& out) {
         out.on_cdr(entry_at<CdrEntry>(read_).cdr);
         read_ += sizeof(CdrEntry);
         break;
-      case Tag::kXdr: {
-        const auto& item = entry_at<XdrEntry>(read_);
-        xdr_.device = item.device;
-        xdr_.time = item.time;
-        xdr_.sim_plmn = item.sim_plmn;
-        xdr_.visited_plmn = item.visited_plmn;
-        xdr_.bytes_up = item.bytes_up;
-        xdr_.bytes_down = item.bytes_down;
-        xdr_.rat = item.rat;
-        xdr_.apn.assign(reinterpret_cast<const char*>(read_ + sizeof(XdrEntry)),
-                        item.apn_size);
-        out.on_xdr(xdr_);
-        read_ += round_up(sizeof(XdrEntry) + item.apn_size);
+      case Tag::kXdr:
+        out.on_xdr(entry_at<XdrEntry>(read_).xdr);
+        read_ += sizeof(XdrEntry);
         break;
-      }
       case Tag::kDwell: {
         const auto& item = entry_at<DwellEntry>(read_);
         out.on_dwell(item.device, item.day, item.visited_plmn, item.location,

@@ -12,8 +12,9 @@
 // that does not fit continues in the next chunk. Chunks never move while
 // the producer appends, so a published wake can be read in place; the
 // consumer releases each chunk it has read past, and the producer reuses
-// released chunks. An xDR's APN text is stored inline, so entries are plain
-// bytes and the consumer rebuilds the `records::Xdr` in one scratch record.
+// released chunks. Every record type is plain data (an xDR names its APN by
+// cellnet::ApnId), so an entry is its tag and a copy of the record, and the
+// consumer hands the sinks the record where it lies.
 //
 // Synchronization: end_wake() publishes the wake count with a release store
 // that the consumer acquires before it reads the wake; releasing a chunk is
@@ -154,7 +155,6 @@ class RecordBuffer final : public RecordSink {
   std::uint64_t visible_ = 0;    // wakes known published
   std::uint64_t released_count_ = 0;
   bool abandoned_ = false;
-  records::Xdr xdr_;  // scratch record rebuilt for each replayed xDR
 };
 
 }  // namespace wtr::sim

@@ -38,7 +38,7 @@ void StreamDigest::on_xdr(const records::Xdr& xdr) {
   mix(xdr.visited_plmn.key());
   mix(xdr.bytes_up);
   mix(xdr.bytes_down);
-  for (const char c : xdr.apn) mix_byte(static_cast<std::uint8_t>(c));
+  for (const char c : xdr.apn.text()) mix_byte(static_cast<std::uint8_t>(c));
   mix(static_cast<std::uint64_t>(xdr.rat));
   ++counts_.xdr;
 }

@@ -52,12 +52,6 @@ const RoamingHub& HubRegistry::get(HubId id) const {
   return hubs_[id];
 }
 
-bool HubRegistry::is_member(HubId hub, OperatorId op) const {
-  const auto it = memberships_.find(op);
-  if (it == memberships_.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), hub) != it->second.end();
-}
-
 const std::vector<HubId>& HubRegistry::hubs_of(OperatorId op) const {
   static const std::vector<HubId> kNoHubs;
   const auto it = memberships_.find(op);

@@ -58,7 +58,6 @@ class HubRegistry {
 
   [[nodiscard]] const RoamingHub& get(HubId id) const;
   [[nodiscard]] std::size_t size() const noexcept { return hubs_.size(); }
-  [[nodiscard]] bool is_member(HubId hub, OperatorId op) const;
   /// Hubs an operator belongs to, in join order (empty when none).
   [[nodiscard]] const std::vector<HubId>& hubs_of(OperatorId op) const;
 

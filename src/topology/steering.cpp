@@ -12,8 +12,7 @@ void SteeringPolicy::set_preference(OperatorId home, cellnet::CountryId country,
 
 std::vector<VisitedCandidate> SteeringPolicy::candidates(
     const OperatorRegistry& operators, const RoamingAgreementGraph& bilateral,
-    const HubRegistry& hubs, OperatorId home, cellnet::CountryId country,
-    std::optional<cellnet::Rat> rat) const {
+    const HubRegistry& hubs, OperatorId home, cellnet::CountryId country) const {
   const auto overrides = overrides_.find(override_key(home, country));
   const Weights* weights = overrides == overrides_.end() ? nullptr : &overrides->second;
   std::vector<VisitedCandidate> out;
@@ -21,7 +20,6 @@ std::vector<VisitedCandidate> SteeringPolicy::candidates(
     if (visited == home) continue;
     const EffectiveRoaming roaming = hubs.resolve(bilateral, home, visited);
     if (roaming.path == RoamingPath::kNone) continue;
-    if (rat && !roaming.terms.allowed_rats.has(*rat)) continue;
     VisitedCandidate candidate;
     candidate.visited = visited;
     if (weights) {
@@ -36,18 +34,6 @@ std::vector<VisitedCandidate> SteeringPolicy::candidates(
     return a.visited < b.visited;
   });
   return out;
-}
-
-std::optional<VisitedCandidate> SteeringPolicy::pick(
-    const OperatorRegistry& operators, const RoamingAgreementGraph& bilateral,
-    const HubRegistry& hubs, OperatorId home, cellnet::CountryId country,
-    std::optional<cellnet::Rat> rat, stats::Rng& rng) const {
-  const auto options = candidates(operators, bilateral, hubs, home, country, rat);
-  if (options.empty()) return std::nullopt;
-  std::vector<double> weights;
-  weights.reserve(options.size());
-  for (const auto& option : options) weights.push_back(option.weight);
-  return options[rng.weighted_index(weights)];
 }
 
 }  // namespace wtr::topology

@@ -6,13 +6,10 @@
 // driven by how sticky this choice is per device.
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "cellnet/country.hpp"
-#include "cellnet/rat.hpp"
-#include "stats/rng.hpp"
 #include "topology/operator_registry.hpp"
 #include "topology/roaming_agreements.hpp"
 #include "topology/roaming_hub.hpp"
@@ -33,19 +30,11 @@ class SteeringPolicy {
                       std::vector<std::pair<OperatorId, double>> weights);
 
   /// Visited-network candidates for a home SIM in a country: every MNO in
-  /// the country reachable through some commercial path (and supporting
-  /// `rat` under the effective terms when `rat` is given), weighted by
+  /// the country reachable through some commercial path, weighted by
   /// steering preference. Sorted by descending weight (ties by id).
   [[nodiscard]] std::vector<VisitedCandidate> candidates(
       const OperatorRegistry& operators, const RoamingAgreementGraph& bilateral,
-      const HubRegistry& hubs, OperatorId home, cellnet::CountryId country,
-      std::optional<cellnet::Rat> rat = std::nullopt) const;
-
-  /// Weighted random pick among candidates(); nullopt when none exist.
-  [[nodiscard]] std::optional<VisitedCandidate> pick(
-      const OperatorRegistry& operators, const RoamingAgreementGraph& bilateral,
-      const HubRegistry& hubs, OperatorId home, cellnet::CountryId country,
-      std::optional<cellnet::Rat> rat, stats::Rng& rng) const;
+      const HubRegistry& hubs, OperatorId home, cellnet::CountryId country) const;
 
  private:
   using Weights = std::unordered_map<OperatorId, double>;

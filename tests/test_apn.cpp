@@ -6,6 +6,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <type_traits>
+#include <vector>
 
 namespace wtr::cellnet {
 namespace {
@@ -119,6 +123,82 @@ TEST(Apn, ToStringWithoutOperatorIdIsTheNetworkId) {
   const Apn apn{"payandgo.example"};
   EXPECT_EQ(apn.to_string(), snprintf_rendering(apn));
   EXPECT_EQ(apn.to_string(), "payandgo.example");
+}
+
+// --- ApnId: the process-wide intern table -----------------------------------
+// Each test uses texts of its own, since the table outlives every test.
+
+static_assert(std::is_trivially_copyable_v<ApnId>);
+static_assert(sizeof(ApnId) <= 8);
+
+TEST(ApnId, EqualTextGivesEqualId) {
+  const std::string text = "equal.text.mnc004.mcc204.gprs";
+  const auto a = ApnId::intern(text);
+  const auto b = ApnId::intern(std::string_view{"equal.text.mnc004.mcc204.gprs"});
+  EXPECT_TRUE(a == b);
+  EXPECT_FALSE(a.empty());
+}
+
+TEST(ApnId, DistinctTextsGiveDistinctIds) {
+  const std::array<std::string_view, 5> texts{"distinct", "distinct.", "Distinct",
+                                              "distinct.mnc004.mcc204.gprs", "tcnitsid"};
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    for (std::size_t j = 0; j < texts.size(); ++j) {
+      EXPECT_EQ(ApnId::intern(texts[i]) == ApnId::intern(texts[j]), i == j)
+          << texts[i] << " vs " << texts[j];
+    }
+  }
+}
+
+TEST(ApnId, TextRoundTripsTheBytes) {
+  const std::array<std::string, 4> texts{"round.trip.example", "line\nbreak.gprs",
+                                         std::string("nul\0byte.gprs", 13), ""};
+  for (const auto& text : texts) {
+    EXPECT_EQ(ApnId::intern(text).text(), text);
+  }
+  EXPECT_EQ(ApnId::intern(texts[2]).text().size(), 13u);
+}
+
+TEST(ApnId, DefaultIdIsTheEmptyApn) {
+  const ApnId none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_TRUE(none.text().empty());
+  EXPECT_TRUE(ApnId::intern("") == none);
+  EXPECT_FALSE(ApnId::intern("not.empty") == none);
+}
+
+TEST(ApnId, ConcurrentInternGivesOneIdPerText) {
+  // Four threads intern overlapping ranges of 200 texts, each in its own
+  // order; every text must end up with one id, and distinct texts with
+  // distinct ids.
+  constexpr int kThreads = 4;
+  constexpr int kTexts = 200;
+  const auto text_of = [](int i) { return "concurrent-" + std::to_string(i) + ".example"; };
+  std::vector<std::vector<ApnId>> seen(kThreads, std::vector<ApnId>(kTexts));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < kTexts / 2; ++k) {
+        const int i = (t * kTexts / 4 + (t % 2 == 0 ? k : kTexts / 2 - 1 - k)) % kTexts;
+        seen[t][i] = ApnId::intern(text_of(i));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  std::vector<ApnId> id(kTexts);
+  for (int i = 0; i < kTexts; ++i) {
+    for (int t = 0; t < kThreads; ++t) {
+      if (seen[t][i].empty()) continue;
+      if (id[i].empty()) id[i] = seen[t][i];
+      EXPECT_TRUE(seen[t][i] == id[i]) << "text " << i << " thread " << t;
+    }
+    ASSERT_FALSE(id[i].empty()) << "text " << i << " was never interned";
+    EXPECT_EQ(id[i].text(), text_of(i));
+  }
+  for (int i = 0; i < kTexts; ++i) {
+    for (int j = i + 1; j < kTexts; ++j) EXPECT_FALSE(id[i] == id[j]) << i << " " << j;
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string_view>
 
@@ -120,7 +121,7 @@ TEST(BinaryTraceRoundTrip, MixedFamiliesMultiBlock) {
       xdr.visited_plmn = cellnet::Plmn{310, 410, 3};
       xdr.bytes_up = rng.below(1u << 30);
       xdr.bytes_down = rng.below(1u << 30);
-      xdr.apn = "apn-" + std::to_string(rng.below(5)) + ".example.gprs";
+      xdr.apn = cellnet::ApnId::intern("apn-" + std::to_string(rng.below(5)) + ".example.gprs");
       xdr.rat = static_cast<cellnet::Rat>(rng.below(cellnet::kRatCount));
       xdrs.push_back(xdr);
       sink.on_xdr(xdr);
@@ -211,7 +212,7 @@ TEST(BinaryTraceRoundTrip, HostileApnStrings) {
       xdr.visited_plmn = cellnet::Plmn{234, 1, 2};
       xdr.bytes_up = 1;
       xdr.bytes_down = 2;
-      xdr.apn = apns[i];
+      xdr.apn = cellnet::ApnId::intern(apns[i]);
       xdr.rat = cellnet::Rat::kFourG;
       sink.on_xdr(xdr);
     }
@@ -220,7 +221,7 @@ TEST(BinaryTraceRoundTrip, HostileApnStrings) {
   CaptureSink sink;
   BinaryTraceReader{in}.replay(sink);
   ASSERT_EQ(sink.xdrs.size(), apns.size());
-  for (std::size_t i = 0; i < apns.size(); ++i) EXPECT_EQ(sink.xdrs[i].apn, apns[i]);
+  for (std::size_t i = 0; i < apns.size(); ++i) EXPECT_EQ(sink.xdrs[i].apn.text(), apns[i]);
 }
 
 TEST(BinaryTraceRoundTrip, DwellDoublesBitExactIncludingNanInf) {
@@ -619,7 +620,7 @@ TEST(BinaryTraceReplay, EmbeddedNewlineApnSurvivesCsvReplay) {
   xdr.visited_plmn = cellnet::Plmn{234, 1, 2};
   xdr.bytes_up = 10;
   xdr.bytes_down = 20;
-  xdr.apn = "weird\nnewline.gprs";
+  xdr.apn = cellnet::ApnId::intern("weird\nnewline.gprs");
   xdr.rat = cellnet::Rat::kFourG;
 
   std::ostringstream csv_out;
@@ -633,7 +634,7 @@ TEST(BinaryTraceReplay, EmbeddedNewlineApnSurvivesCsvReplay) {
   EXPECT_EQ(stats.rows, 1u);
   EXPECT_TRUE(stats.clean());
   ASSERT_EQ(sink.xdrs.size(), 1u);
-  EXPECT_EQ(sink.xdrs.front().apn, "weird\nnewline.gprs");
+  EXPECT_EQ(sink.xdrs.front().apn.text(), "weird\nnewline.gprs");
 
   std::ostringstream bin_out;
   {
@@ -644,7 +645,45 @@ TEST(BinaryTraceReplay, EmbeddedNewlineApnSurvivesCsvReplay) {
   std::istringstream bin_in{bin_out.str()};
   core::replay_xdr_trace(bin_in, bin_capture);
   ASSERT_EQ(bin_capture.xdrs.size(), 1u);
-  EXPECT_EQ(bin_capture.xdrs.front().apn, "weird\nnewline.gprs");
+  EXPECT_EQ(bin_capture.xdrs.front().apn.text(), "weird\nnewline.gprs");
+}
+
+TEST(BinaryTraceReplay, ReplayedApnsOutliveTheStreamAndReader) {
+  // A hand-built block whose dictionary holds APN texts nothing in this
+  // process has interned yet: the reader interns them itself, and the
+  // captured xDRs must still read them once the stream and reader are gone.
+  const std::string texts[] = {"outlives.reader.example.mnc007.mcc214.gprs",
+                               "outlives.stream.example"};
+  util::BinWriter payload;
+  payload.u8(3);  // kind: xdr
+  payload.varint(3);
+  TraceDict dict;
+  records::XdrColumns columns;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    columns.device.push_back(i + 1);
+    columns.time.push_back(static_cast<std::int64_t>(10 * i));
+    columns.sim_plmn.push_back(dict.intern("214-07"));
+    columns.visited_plmn.push_back(dict.intern("234-15"));
+    columns.bytes_up.push_back(i);
+    columns.bytes_down.push_back(2 * i);
+    columns.apn.push_back(dict.intern(texts[i % 2]));
+    columns.rat.push_back(static_cast<std::uint8_t>(cellnet::Rat::kFourG));
+  }
+  dict.write(payload);
+  records::bin_write(payload, columns);
+  TraceTotals totals;
+  totals.xdr = 3;
+
+  CaptureSink sink;
+  {
+    auto in = std::make_unique<std::istringstream>(frame_stream({payload.bytes()}, &totals));
+    const auto stats = core::replay_binary_trace(*in, sink);
+    EXPECT_EQ(stats.delivered, 3u);
+  }
+  ASSERT_EQ(sink.xdrs.size(), 3u);
+  EXPECT_EQ(sink.xdrs[0].apn.text(), texts[0]);
+  EXPECT_EQ(sink.xdrs[1].apn.text(), texts[1]);
+  EXPECT_EQ(sink.xdrs[2].apn, sink.xdrs[0].apn);
 }
 
 
@@ -732,7 +771,7 @@ TEST(BinaryTraceGolden, StreamBytesArePinned) {
     writer.add_cdr(c);
   };
   auto add_xdr = [&](std::uint64_t device, stats::SimTime time, cellnet::Plmn sim,
-                     cellnet::Plmn visited, std::string apn) {
+                     cellnet::Plmn visited, std::string_view apn) {
     records::Xdr x;
     x.device = device;
     x.time = time;
@@ -740,7 +779,7 @@ TEST(BinaryTraceGolden, StreamBytesArePinned) {
     x.visited_plmn = visited;
     x.bytes_up = 100 * device;
     x.bytes_down = 7 * device;
-    x.apn = std::move(apn);
+    x.apn = cellnet::ApnId::intern(apn);
     x.rat = cellnet::Rat::kFourG;
     writer.add_xdr(x);
   };

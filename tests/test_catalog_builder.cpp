@@ -115,7 +115,7 @@ TEST(CatalogAccumulator, XdrAggregatesBytesAndApns) {
   xdr.visited_plmn = kObserver;
   xdr.bytes_up = 10;
   xdr.bytes_down = 90;
-  xdr.apn = "smhp.centricaplc.com.mnc004.mcc204.gprs";
+  xdr.apn = cellnet::ApnId::intern("smhp.centricaplc.com.mnc004.mcc204.gprs");
   xdr.rat = cellnet::Rat::kTwoG;
   acc.on_xdr(xdr);
   acc.on_xdr(xdr);  // same APN again: bytes add, APN deduplicates
@@ -185,14 +185,14 @@ TEST(CatalogAccumulator, FinalizeOrdersDeterministically) {
 }
 
 records::Xdr xdr(signaling::DeviceHash device, stats::SimTime time, cellnet::Plmn sim,
-                 cellnet::Plmn visited, std::string apn) {
+                 cellnet::Plmn visited, std::string_view apn) {
   records::Xdr x;
   x.device = device;
   x.time = time;
   x.sim_plmn = sim;
   x.visited_plmn = visited;
   x.bytes_up = 100;
-  x.apn = std::move(apn);
+  x.apn = cellnet::ApnId::intern(apn);
   x.rat = cellnet::Rat::kFourG;
   return x;
 }
@@ -357,7 +357,7 @@ TEST(CatalogAccumulator, OpeningPartialsDoesNotAllocatePerPartial) {
   auto acc = make_accumulator();
   auto signal = txn(0, 0, kForeign, kObserver);
   auto data = xdr(0, 0, kForeign, kObserver, "m2m.fleet-telemetry.example.io");
-  ASSERT_EQ(data.apn.size(), 30u);
+  ASSERT_EQ(data.apn.text().size(), 30u);
   const std::uint64_t before = g_allocations.load();
   for (int i = 0; i < kPartials; ++i) {
     signal.device = data.device = 1'000 + static_cast<signaling::DeviceHash>(i / 4);
@@ -409,7 +409,7 @@ TEST(Summarize, RollsUpAcrossDays) {
   xdr.sim_plmn = kForeign;
   xdr.visited_plmn = kObserver;
   xdr.bytes_up = 50;
-  xdr.apn = "a.b";
+  xdr.apn = cellnet::ApnId::intern("a.b");
   acc.on_xdr(xdr);
 
   const auto catalog = acc.finalize();

@@ -164,7 +164,7 @@ TEST_F(FleetBuilderTest, VerticalApnsCarryCompanyDomains) {
   for (const auto& device : fleet) {
     ASSERT_FALSE(device.apn.empty());
     for (const auto& company : companies_of(Vertical::kSmartMeter)) {
-      if (device.apn.network_id().find(company.domain) != std::string::npos) {
+      if (device.apn.text().find(company.domain) != std::string_view::npos) {
         ++with_energy_domain;
         break;
       }

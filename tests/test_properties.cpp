@@ -69,7 +69,7 @@ TEST_P(CatalogConservation, NothingLostNothingInvented) {
       xdr.sim_plmn = sim;
       xdr.visited_plmn = visited;
       xdr.bytes_up = rng.below(1'000);
-      xdr.apn = "internet";
+      xdr.apn = cellnet::ApnId::intern("internet");
       accumulator.on_xdr(xdr);
       if (visited == observer || in_family(sim)) expected_bytes += xdr.bytes_up;
     } else {

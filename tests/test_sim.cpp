@@ -202,14 +202,31 @@ TEST_F(SelectionTest, FallbackChainDescends) {
   EXPECT_FALSE(selector.radio_fallback_rat(device, gb, cellnet::Rat::kTwoG).has_value());
 }
 
-TEST_F(SelectionTest, ChooseReturnsAgreementFilteredChoice) {
-  const auto device = roamer("GB");
-  stats::Rng rng{5};
+TEST_F(SelectionTest, RoamingScanPutsReachablePartnersFirst) {
+  // A roamer abroad tries the MNOs it has a commercial path to before any
+  // it has none with: once an entry without a path shows up, every later
+  // entry lacks one too, and the first entry has a path.
   NetworkSelector selector{world()};
-  const auto choice = selector.choose(device, std::nullopt, rng);
-  ASSERT_TRUE(choice.has_value());
-  const auto roaming = world().resolve_roaming(device.home_operator, choice->visited);
-  EXPECT_NE(roaming.path, topology::RoamingPath::kNone);
+  for (const auto* iso : {"GB", "FR", "US", "BR", "JP"}) {
+    const auto device = roamer(iso);
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      stats::Rng rng{seed};
+      const auto scanned = selector.scan(device, std::nullopt, rng);
+      ASSERT_FALSE(scanned.empty()) << iso;
+      bool past_partners = false;
+      for (const auto& choice : scanned) {
+        EXPECT_FALSE(choice.is_home_network);
+        const bool reachable =
+            world().resolve_roaming(device.home_operator, choice.visited).path !=
+            topology::RoamingPath::kNone;
+        if (!reachable) past_partners = true;
+        EXPECT_FALSE(past_partners && reachable) << iso << " seed " << seed;
+      }
+      EXPECT_NE(world().resolve_roaming(device.home_operator, scanned.front().visited).path,
+                topology::RoamingPath::kNone)
+          << iso << " seed " << seed;
+    }
+  }
 }
 
 // --- Engine-level smoke tests with a counting sink.

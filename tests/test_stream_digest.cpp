@@ -63,7 +63,7 @@ Records base_records() {
   r.xdr.visited_plmn = visited;
   r.xdr.bytes_up = 1'500;
   r.xdr.bytes_down = 64'000;
-  r.xdr.apn = "m2m.example.mnc007.mcc214.gprs";
+  r.xdr.apn = cellnet::ApnId::intern("m2m.example.mnc007.mcc214.gprs");
   r.xdr.rat = cellnet::Rat::kFourG;
   r.dwell.device = r.txn.device;
   r.dwell.day = 1;
@@ -129,7 +129,12 @@ TEST(StreamDigest, EverySingleFieldChangesTheHash) {
        [](Records& r) { r.xdr.visited_plmn = widen_mnc(r.xdr.visited_plmn); }},
       {"xdr.bytes_up", [](Records& r) { ++r.xdr.bytes_up; }},
       {"xdr.bytes_down", [](Records& r) { ++r.xdr.bytes_down; }},
-      {"xdr.apn (one byte)", [](Records& r) { r.xdr.apn[4] = 'M'; }},
+      {"xdr.apn (one byte)",
+       [](Records& r) {
+         std::string text{r.xdr.apn.text()};
+         text[4] = 'M';
+         r.xdr.apn = cellnet::ApnId::intern(text);
+       }},
       {"xdr.rat", [](Records& r) { r.xdr.rat = cellnet::Rat::kNbIot; }},
       {"dwell.device", [](Records& r) { r.dwell.device ^= 1; }},
       {"dwell.day", [](Records& r) { ++r.dwell.day; }},
@@ -162,7 +167,7 @@ std::vector<Records> stream_of(int n) {
     r.data_context = i % 2 == 0;
     r.cdr.duration_s = 0.1 * i + 1.0 / 3.0;
     r.xdr.bytes_down += static_cast<std::uint64_t>(i) * 7;
-    r.xdr.apn = "iot" + std::to_string(i % 4) + ".example";
+    r.xdr.apn = cellnet::ApnId::intern("iot" + std::to_string(i % 4) + ".example");
     r.dwell.seconds = 60.0 * i + 0.25;
     r.dwell.day = i / 10;
     stream.push_back(r);

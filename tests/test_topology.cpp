@@ -149,18 +149,6 @@ TEST(Steering, CandidatesFilteredAndSorted) {
   }
 }
 
-TEST(Steering, PickRespectsRatFilter) {
-  WorldConfig config;
-  config.build_coverage = false;
-  const auto world = World::build(config);
-  stats::Rng rng{1};
-  const auto picked = world.steering().pick(
-      world.operators(), world.bilateral(), world.hubs(),
-      world.well_known().es_hmno, require_country_id("FR"), cellnet::Rat::kFourG, rng);
-  ASSERT_TRUE(picked.has_value());
-  EXPECT_TRUE(picked->roaming.terms.allowed_rats.has(cellnet::Rat::kFourG));
-}
-
 class WorldTest : public ::testing::Test {
  protected:
   static const World& world() {

@@ -99,7 +99,7 @@ TEST(TraceReplay, XdrRoundTripPreservesApn) {
   xdr.visited_plmn = cellnet::Plmn{234, 1, 2};
   xdr.bytes_up = 100;
   xdr.bytes_down = 900;
-  xdr.apn = "smhp.centricaplc.com.mnc004.mcc204.gprs";
+  xdr.apn = cellnet::ApnId::intern("smhp.centricaplc.com.mnc004.mcc204.gprs");
   xdr.rat = cellnet::Rat::kTwoG;
 
   std::ostringstream out;
