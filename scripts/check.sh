@@ -16,9 +16,9 @@
 #     the golden scenario suite and running them under TSan: the shard loops
 #     and the merge that drains their logs run on real threads there, so any
 #     data race in the parallel engine — on the world tables every shard
-#     reads (per-country operator index, steering preferences), or on the
-#     process-wide APN intern table whose ids cross the shard->merge log —
-#     fails the gate. The storm lane
+#     reads (per-country operator index, the route table of roaming paths
+#     and steering weights), or on the process-wide APN intern table whose
+#     ids cross the shard->merge log — fails the gate. The storm lane
 #     rides this tree: the closed-loop congestion suite (shard-private
 #     ledgers merging at engine barriers) runs under TSan too, then the
 #     ASan tree drives kill injection through an overload window
@@ -96,7 +96,7 @@ TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_record_buffer"
 # lock for inserts, none for reading an id's text).
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_apn"
 # Golden scenario bytes (threads=1 and threads=4 pin the same value) with
-# shard threads reading the shared per-country index and steering tables.
+# shard threads reading the shared per-country index and route table.
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_scenario_determinism"
 echo "check.sh: sharded engine race-free under TSan (parallel engine + record log + APN table + golden scenarios)"
 

@@ -41,8 +41,8 @@ struct CountryInfo {
 [[nodiscard]] std::span<const CountryInfo> all_countries() noexcept;
 
 /// A country inside the simulator: its index in all_countries(). Devices,
-/// corridors, operators and steering keys carry ids; ISO text appears only
-/// at the edges (config, snapshots, path-model egress, reports).
+/// corridors and operators carry ids; ISO text appears only at the edges
+/// (config, snapshots, path-model egress, reports).
 using CountryId = std::uint16_t;
 inline constexpr CountryId kInvalidCountry = ~CountryId{0};
 

@@ -23,18 +23,6 @@ std::string_view gsma_label_name(GsmaLabel label) noexcept {
   return "?";
 }
 
-std::string_view device_os_name(DeviceOs os) noexcept {
-  switch (os) {
-    case DeviceOs::kAndroid: return "android";
-    case DeviceOs::kIos: return "ios";
-    case DeviceOs::kBlackberry: return "blackberry";
-    case DeviceOs::kWindowsMobile: return "windows-mobile";
-    case DeviceOs::kProprietary: return "proprietary";
-    case DeviceOs::kNone: return "none";
-  }
-  return "?";
-}
-
 bool is_major_smartphone_os(DeviceOs os) noexcept {
   switch (os) {
     case DeviceOs::kAndroid:

@@ -45,8 +45,6 @@ enum class DeviceOs : std::uint8_t {
   kNone,
 };
 
-[[nodiscard]] std::string_view device_os_name(DeviceOs os) noexcept;
-
 /// True for the "major smartphone OS" set the paper's classifier keys on.
 [[nodiscard]] bool is_major_smartphone_os(DeviceOs os) noexcept;
 

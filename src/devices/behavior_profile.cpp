@@ -2,15 +2,6 @@
 
 namespace wtr::devices {
 
-std::string_view mobility_kind_name(MobilityKind kind) noexcept {
-  switch (kind) {
-    case MobilityKind::kStationary: return "stationary";
-    case MobilityKind::kLocalCommuter: return "commuter";
-    case MobilityKind::kLongHaul: return "long-haul";
-  }
-  return "?";
-}
-
 BehaviorProfile smartphone_profile() noexcept {
   BehaviorProfile p;
   p.device_class = DeviceClass::kSmartphone;

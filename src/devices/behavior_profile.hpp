@@ -20,8 +20,6 @@ enum class MobilityKind : std::uint8_t {
   kLongHaul,       // cars, trackers: cross-region, sometimes cross-country
 };
 
-[[nodiscard]] std::string_view mobility_kind_name(MobilityKind kind) noexcept;
-
 struct BehaviorProfile {
   DeviceClass device_class = DeviceClass::kM2M;
   Vertical vertical = Vertical::kNone;

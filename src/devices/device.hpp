@@ -55,9 +55,6 @@ struct Device {
   double home_east_m = 0.0;
   double home_north_m = 0.0;
 
-  [[nodiscard]] bool active_on_day(std::int32_t day) const noexcept {
-    return day >= arrival_day && day < departure_day;
-  }
   [[nodiscard]] bool uses_data() const noexcept { return bytes_per_day > 0.0; }
   [[nodiscard]] bool uses_voice() const noexcept { return calls_per_day > 0.0; }
 };

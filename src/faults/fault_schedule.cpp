@@ -4,17 +4,6 @@
 
 namespace wtr::faults {
 
-std::string_view fault_kind_name(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kOutage: return "outage";
-    case FaultKind::kSignalingStorm: return "signaling-storm";
-    case FaultKind::kDegradedPath: return "degraded-path";
-    case FaultKind::kMisprovisioning: return "misprovisioning";
-    case FaultKind::kCapacityDrop: return "capacity-drop";
-  }
-  return "?";
-}
-
 double FaultEpisode::severity_at(stats::SimTime now) const noexcept {
   if (!active_at(now)) return 0.0;
   if (!ramp) return severity;

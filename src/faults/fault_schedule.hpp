@@ -47,8 +47,6 @@ enum class FaultKind : std::uint8_t {
   kCapacityDrop,
 };
 
-[[nodiscard]] std::string_view fault_kind_name(FaultKind kind) noexcept;
-
 struct FaultEpisode {
   FaultKind kind = FaultKind::kOutage;
   stats::SimTime begin = 0;  // inclusive

@@ -100,7 +100,6 @@ class FlightRecorder {
   /// with `capacity_per_track` event slots.
   FlightRecorder(std::size_t shard_tracks, std::size_t capacity_per_track);
 
-  [[nodiscard]] std::size_t track_count() const noexcept { return tracks_.size(); }
   [[nodiscard]] const TraceTrack& track(std::uint32_t t) const { return tracks_[t]; }
 
   /// Nanoseconds since recorder construction (steady clock).

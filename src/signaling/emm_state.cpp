@@ -5,16 +5,6 @@
 
 namespace wtr::signaling {
 
-std::string_view emm_state_name(EmmState state) noexcept {
-  switch (state) {
-    case EmmState::kDetached: return "DETACHED";
-    case EmmState::kAuthenticating: return "AUTHENTICATING";
-    case EmmState::kUpdatingLocation: return "UPDATING_LOCATION";
-    case EmmState::kAttached: return "ATTACHED";
-  }
-  return "?";
-}
-
 Procedure EmmStateMachine::begin_attach(topology::OperatorId visited) {
   assert(state_ == EmmState::kDetached);
   state_ = EmmState::kAuthenticating;

@@ -9,7 +9,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "signaling/procedure.hpp"
@@ -25,8 +24,6 @@ enum class EmmState : std::uint8_t {
   kUpdatingLocation, // attach in progress: update location sent
   kAttached,
 };
-
-[[nodiscard]] std::string_view emm_state_name(EmmState state) noexcept;
 
 class EmmStateMachine {
  public:

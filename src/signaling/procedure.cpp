@@ -32,17 +32,4 @@ bool visible_to_platform_probes(Procedure procedure) noexcept {
   }
 }
 
-bool is_background(Procedure procedure) noexcept {
-  switch (procedure) {
-    case Procedure::kAttach:
-    case Procedure::kDetach:
-    case Procedure::kRoutingAreaUpdate:
-    case Procedure::kTrackingAreaUpdate:
-    case Procedure::kUpdateLocation:
-    case Procedure::kCancelLocation:
-    case Procedure::kAuthentication: return true;
-  }
-  return false;
-}
-
 }  // namespace wtr::signaling

@@ -32,8 +32,4 @@ inline constexpr int kProcedureCount = 7;
 /// the roaming interconnect).
 [[nodiscard]] bool visible_to_platform_probes(Procedure procedure) noexcept;
 
-/// Mobility-management "background traffic" in the §7.1 sense (procedures a
-/// device generates without any chargeable service usage).
-[[nodiscard]] bool is_background(Procedure procedure) noexcept;
-
 }  // namespace wtr::signaling

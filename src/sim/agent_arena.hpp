@@ -104,9 +104,6 @@ class AgentArena {
   /// dormant vectors + options pool + hydrated working slots. Dormant
   /// working slots are untouched slab pages and excluded.
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
-  [[nodiscard]] std::size_t options_pool_size() const noexcept {
-    return static_cast<std::size_t>(options_.size());
-  }
 
   /// Snapshot the arena (v3 layout): a hydration flag per agent, followed
   /// by DeviceAgent state for hydrated agents only — dormant state is fully

@@ -14,6 +14,13 @@ namespace wtr::sim {
 
 using stats::SimTime;
 
+namespace {
+constexpr int kMaxAttachAttempts = 3;  // networks tried per wake before giving up
+// Uplink share of a data session's bytes: M2M traffic is uplink-heavy.
+constexpr double kUplinkFractionM2m = 0.70;
+constexpr double kUplinkFractionPhone = 0.25;
+}  // namespace
+
 DeviceAgent::DeviceAgent(devices::Device* device, const AgentOptions* options,
                          stats::Rng rng, stats::SimTime first_wake)
     : device_(device),
@@ -99,13 +106,12 @@ DeviceAgent::Serving DeviceAgent::locate(const AgentContext& ctx,
   serving.rat = choice.rat;
   serving.is_home = choice.is_home_network;
   const auto radio = ctx.world->operators().radio_network_of(choice.visited);
-  if (ctx.world->coverage().has_grid(radio)) {
-    const auto& grid = ctx.world->coverage().grid(radio);
+  if (const auto* grid = ctx.world->coverage().grid(radio)) {
     // Devices camp on the nearest sector. If that sector does not deploy
     // the desired RAT but deploys a lower one the hardware supports, the
     // RAT degrades in place (rural 2G pockets); only a device with no
     // usable technology on the local sector hunts for a farther one.
-    const auto& local = grid.serving_sector(device_->east_m, device_->north_m);
+    const auto& local = grid->serving_sector(device_->east_m, device_->north_m);
     if (local.rats.has(choice.rat)) {
       serving.sector = local.id;
       serving.location = local.location;
@@ -125,8 +131,8 @@ DeviceAgent::Serving DeviceAgent::locate(const AgentContext& ctx,
         }
       } else {
         const auto sector_id =
-            grid.serving_sector_with_rat(device_->east_m, device_->north_m, choice.rat);
-        const auto& sector = grid.sector(sector_id ? *sector_id : local.id);
+            grid->serving_sector_with_rat(device_->east_m, device_->north_m, choice.rat);
+        const auto& sector = grid->sector(sector_id ? *sector_id : local.id);
         serving.sector = sector.id;
         serving.location = sector.location;
       }
@@ -197,7 +203,7 @@ bool DeviceAgent::try_attach(const AgentContext& ctx, SimTime now,
   bool congested = false;
   topology::OperatorId congested_radio = topology::kInvalidOperator;
   for (const auto& candidate : candidates) {
-    if (attempts >= options_->max_attach_attempts) break;
+    if (attempts >= kMaxAttachAttempts) break;
     // Extended access barring: a delay-tolerant device that honours the
     // barring bitmap may not even signal on an overloaded network — the
     // attempt is suppressed at the radio level, consuming no RNG (the EAB
@@ -323,8 +329,8 @@ void DeviceAgent::do_session(const AgentContext& ctx, SimTime now) {
     const auto bytes = static_cast<std::uint64_t>(
         stats::clamped(mean_session_bytes * noise, 1.0, 1.0e11));
     const double up_fraction = device_->profile.device_class == devices::DeviceClass::kM2M
-                                   ? options_->uplink_fraction_m2m
-                                   : options_->uplink_fraction_phone;
+                                   ? kUplinkFractionM2m
+                                   : kUplinkFractionPhone;
     records::Xdr xdr;
     xdr.device = device_->id;
     xdr.time = now;

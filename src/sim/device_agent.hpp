@@ -91,7 +91,6 @@ struct FotaCampaignConfig {
 
 struct AgentOptions {
   TravelCorridor corridor;       // long-haul destinations
-  int max_attach_attempts = 3;   // networks tried per wake before giving up
   /// Legacy retry model: wake-rate multiplier while unattached. Used only
   /// when `backoff.enabled` is false; it is the tuned approximation the
   /// calibrated scenarios were fit with.
@@ -106,8 +105,6 @@ struct AgentOptions {
   /// firmware retries its stored PLMN list conservatively; this is what
   /// keeps even pure-failure devices from spraying across every VMNO.
   double p_explore_after_failure = 0.25;
-  double uplink_fraction_m2m = 0.70;   // M2M traffic is uplink-heavy
-  double uplink_fraction_phone = 0.25;
   /// Honour 3GPP congestion controls: start T3346 on a kCongestion reject
   /// and respect extended access barring when `eab_member`. False models
   /// legacy firmware that treats congestion as a generic failure and keeps

@@ -37,14 +37,12 @@ std::optional<cellnet::Rat> NetworkSelector::radio_fallback_rat(
   return std::nullopt;
 }
 
-std::vector<NetworkChoice> NetworkSelector::scan(const devices::Device& device,
-                                                 std::optional<topology::OperatorId> exclude,
-                                                 stats::Rng& rng) const {
+ScanResult NetworkSelector::scan(const devices::Device& device,
+                                 std::optional<topology::OperatorId> exclude,
+                                 stats::Rng& rng) const {
   const auto& operators = world_->operators();
   const auto& home_op = operators.get(device.home_operator);
-  const auto local = operators.mnos_in_country(device.current_country);
-  std::vector<NetworkChoice> out;
-  out.reserve(local.size());  // every choice is one of the country's MNOs
+  ScanResult out;
 
   auto push = [&](topology::OperatorId visited, bool is_home) {
     // A handful of entries at most: a linear look-up, no per-operator table.
@@ -65,21 +63,21 @@ std::vector<NetworkChoice> NetworkSelector::scan(const devices::Device& device,
 
   // Steering-preferred partners: weighted sampling without replacement so
   // the preferred network usually (not always) leads.
-  auto candidates = world_->steering().candidates(
-      operators, world_->bilateral(), world_->hubs(), device.home_operator,
-      device.current_country);
-  std::vector<double> weights;
-  weights.reserve(candidates.size());
+  auto candidates = world_->candidates(device.home_operator, device.current_country);
+  util::InlineVector<double, topology::kMaxMnosPerCountry> weights;
   for (const auto& candidate : candidates) weights.push_back(candidate.weight);
   while (!candidates.empty()) {
     const std::size_t i = rng.weighted_index(weights);
     push(candidates[i].visited, false);
-    candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(i));
-    weights.erase(weights.begin() + static_cast<std::ptrdiff_t>(i));
+    candidates.erase(i);
+    weights.erase(i);
   }
 
   // Remaining local MNOs (no commercial path — attempts will be rejected).
-  std::vector<topology::OperatorId> rest(local.begin(), local.end());
+  util::InlineVector<topology::OperatorId, topology::kMaxMnosPerCountry> rest;
+  for (topology::OperatorId visited : operators.mnos_in_country(device.current_country)) {
+    rest.push_back(visited);
+  }
   rng.shuffle(rest);
   for (topology::OperatorId visited : rest) push(visited, false);
 

@@ -2,18 +2,18 @@
 
 // Network and RAT selection for a device at its current position. Native
 // devices camp on their home radio network; roaming devices follow the home
-// operator's steering policy. The RAT is the best technology the hardware
-// and the visited network's deployment share, with graceful fallback down
-// to 2G — which is how the simulator reproduces M2M's 2G dependence
-// (Fig. 9). A roaming agreement's RAT scope is not checked here: the
-// visited network enforces it when it answers the attempt.
+// operator's steering weights in the world's route table. The RAT is the
+// best technology the hardware and the visited network's deployment share,
+// with graceful fallback down to 2G — which is how the simulator reproduces
+// M2M's 2G dependence (Fig. 9). A roaming agreement's RAT scope is not
+// checked here: the visited network enforces it when it answers the attempt.
 
 #include <optional>
-#include <vector>
 
 #include "devices/device.hpp"
 #include "stats/rng.hpp"
 #include "topology/world.hpp"
+#include "util/inline_vector.hpp"
 
 namespace wtr::sim {
 
@@ -22,6 +22,10 @@ struct NetworkChoice {
   cellnet::Rat rat = cellnet::Rat::kTwoG;
   bool is_home_network = false;  // camping on the home (or host) network
 };
+
+/// A scan's attempt order. Every entry is an MNO of the device's current
+/// country, so the per-country cap bounds it and a scan never allocates.
+using ScanResult = util::InlineVector<NetworkChoice, topology::kMaxMnosPerCountry>;
 
 class NetworkSelector {
  public:
@@ -35,9 +39,9 @@ class NetworkSelector {
   /// the traces (§3.3). `exclude` removes a network from consideration
   /// (used to force a reselection away from a failing one). RATs here are
   /// radio-feasible (hardware ∩ deployment), NOT agreement-filtered.
-  [[nodiscard]] std::vector<NetworkChoice> scan(const devices::Device& device,
-                                                std::optional<topology::OperatorId> exclude,
-                                                stats::Rng& rng) const;
+  [[nodiscard]] ScanResult scan(const devices::Device& device,
+                                std::optional<topology::OperatorId> exclude,
+                                stats::Rng& rng) const;
 
   /// Radio-feasible best RAT (hardware ∩ deployment, no agreement filter).
   [[nodiscard]] std::optional<cellnet::Rat> radio_rat(const devices::Device& device,

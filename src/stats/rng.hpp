@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <cassert>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -80,10 +81,11 @@ class Rng {
     state_ = state;
   }
 
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& items) noexcept {
-    for (std::size_t i = items.size(); i > 1; --i) {
+  /// Fisher-Yates shuffle of any indexable range with a size (a vector, a
+  /// span, a fixed-capacity list).
+  template <typename Range>
+  void shuffle(Range&& items) noexcept {
+    for (std::size_t i = std::size(items); i > 1; --i) {
       const std::size_t j = static_cast<std::size_t>(below(i));
       using std::swap;
       swap(items[i - 1], items[j]);

@@ -5,7 +5,7 @@
 // the host's sectors (OperatorRegistry::radio_network_of).
 
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "cellnet/sector.hpp"
 #include "topology/operator_registry.hpp"
@@ -14,28 +14,20 @@ namespace wtr::topology {
 
 class CoverageMap {
  public:
-  struct GridPlan {
-    std::uint32_t cols = 24;
-    std::uint32_t rows = 24;
-    double spacing_m = 2'500.0;
-    double share_4g = 0.55;
-    double share_3g = 0.85;
-    double share_2g = 0.97;
-    double share_nbiot = 0.85;  // applied only when the operator deploys NB-IoT
-  };
-
   /// Build a grid for an MNO. The anchor should be the operator's country
   /// centroid (World does this). Replaces any existing grid.
-  void build_grid(const Operator& op, cellnet::GeoPoint anchor, const GridPlan& plan,
-                  std::uint64_t seed);
+  void build_grid(const Operator& op, cellnet::GeoPoint anchor, std::uint64_t seed);
 
-  [[nodiscard]] bool has_grid(OperatorId id) const noexcept { return grids_.contains(id); }
-  [[nodiscard]] const cellnet::SectorGrid& grid(OperatorId id) const;
+  /// The operator's grid, or nullptr when it has none (an MVNO, or a world
+  /// built without coverage).
+  [[nodiscard]] const cellnet::SectorGrid* grid(OperatorId id) const noexcept {
+    return id < grids_.size() && grids_[id] ? &*grids_[id] : nullptr;
+  }
 
   [[nodiscard]] std::size_t total_sectors() const;
 
  private:
-  std::unordered_map<OperatorId, cellnet::SectorGrid> grids_;
+  std::vector<std::optional<cellnet::SectorGrid>> grids_;  // indexed by operator id
 };
 
 }  // namespace wtr::topology

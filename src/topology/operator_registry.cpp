@@ -1,6 +1,7 @@
 #include "topology/operator_registry.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace wtr::topology {
 
@@ -10,6 +11,11 @@ OperatorId OperatorRegistry::add_mno(cellnet::Plmn plmn, std::string name,
   assert(plmn.valid());
   assert(!by_plmn_.contains(plmn));
   assert(country < mnos_by_country_.size());
+  if (mnos_by_country_[country].size() == kMaxMnosPerCountry) {
+    throw std::length_error("OperatorRegistry: " +
+                            std::string(cellnet::country_at(country).iso) + " already has " +
+                            std::to_string(kMaxMnosPerCountry) + " MNOs");
+  }
   Operator op;
   op.id = static_cast<OperatorId>(operators_.size());
   op.plmn = plmn;
@@ -56,7 +62,8 @@ std::optional<OperatorId> OperatorRegistry::by_plmn(cellnet::Plmn plmn) const {
 std::span<const OperatorId> OperatorRegistry::mnos_in_country(
     cellnet::CountryId country) const noexcept {
   assert(country < mnos_by_country_.size());
-  return mnos_by_country_[country];
+  const auto& mnos = mnos_by_country_[country];
+  return {mnos.data(), mnos.size()};
 }
 
 OperatorId OperatorRegistry::radio_network_of(OperatorId id) const {

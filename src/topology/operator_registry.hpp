@@ -15,11 +15,16 @@
 #include "cellnet/country.hpp"
 #include "cellnet/plmn.hpp"
 #include "cellnet/rat.hpp"
+#include "util/inline_vector.hpp"
 
 namespace wtr::topology {
 
 using OperatorId = std::uint32_t;
 inline constexpr OperatorId kInvalidOperator = ~OperatorId{0};
+
+/// Most MNOs one country may have. Network selection keeps a country's
+/// networks in fixed-capacity lists of this size, so add_mno enforces it.
+inline constexpr std::size_t kMaxMnosPerCountry = 4;
 
 enum class OperatorKind : std::uint8_t { kMno, kMvno };
 
@@ -35,7 +40,8 @@ struct Operator {
 
 class OperatorRegistry {
  public:
-  /// Register a facilities-based MNO. PLMN must be unique.
+  /// Register a facilities-based MNO. PLMN must be unique. Throws
+  /// std::length_error when the country already has kMaxMnosPerCountry.
   OperatorId add_mno(cellnet::Plmn plmn, std::string name, cellnet::CountryId country,
                      cellnet::RatMask deployed_rats);
 
@@ -48,8 +54,8 @@ class OperatorRegistry {
   [[nodiscard]] std::size_t size() const noexcept { return operators_.size(); }
   [[nodiscard]] const std::vector<Operator>& all() const noexcept { return operators_; }
 
-  /// MNOs (not MVNOs) whose home country matches, in id order. The view
-  /// stays valid until the next add_mno().
+  /// MNOs (not MVNOs) whose home country matches, in id order (at most
+  /// kMaxMnosPerCountry).
   [[nodiscard]] std::span<const OperatorId> mnos_in_country(
       cellnet::CountryId country) const noexcept;
 
@@ -61,8 +67,9 @@ class OperatorRegistry {
   std::vector<Operator> operators_;
   std::unordered_map<cellnet::Plmn, OperatorId> by_plmn_;
   // Per-country MNO index, appended to as MNOs are added (so id order).
-  std::vector<std::vector<OperatorId>> mnos_by_country_ =
-      std::vector<std::vector<OperatorId>>(cellnet::all_countries().size());
+  using CountryMnos = util::InlineVector<OperatorId, kMaxMnosPerCountry>;
+  std::vector<CountryMnos> mnos_by_country_ =
+      std::vector<CountryMnos>(cellnet::all_countries().size());
 };
 
 }  // namespace wtr::topology

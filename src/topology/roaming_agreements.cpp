@@ -1,7 +1,5 @@
 #include "topology/roaming_agreements.hpp"
 
-#include <algorithm>
-
 namespace wtr::topology {
 
 std::string_view breakout_name(BreakoutType type) noexcept {
@@ -15,14 +13,7 @@ std::string_view breakout_name(BreakoutType type) noexcept {
 
 void RoamingAgreementGraph::add(OperatorId home, OperatorId visited,
                                 AgreementTerms terms) {
-  const auto [it, inserted] = terms_.insert_or_assign(key(home, visited), terms);
-  (void)it;
-  if (inserted) {
-    auto& list = partners_[home];
-    if (std::find(list.begin(), list.end(), visited) == list.end()) {
-      list.push_back(visited);
-    }
-  }
+  terms_.insert_or_assign(key(home, visited), terms);
 }
 
 void RoamingAgreementGraph::add_bilateral(OperatorId a, OperatorId b,
@@ -36,20 +27,6 @@ std::optional<AgreementTerms> RoamingAgreementGraph::find(OperatorId home,
   const auto it = terms_.find(key(home, visited));
   if (it == terms_.end()) return std::nullopt;
   return it->second;
-}
-
-bool RoamingAgreementGraph::allows(OperatorId home, OperatorId visited,
-                                   cellnet::Rat rat) const {
-  const auto terms = find(home, visited);
-  return terms && terms->allowed_rats.has(rat);
-}
-
-std::vector<OperatorId> RoamingAgreementGraph::partners_of(OperatorId home) const {
-  const auto it = partners_.find(home);
-  if (it == partners_.end()) return {};
-  auto out = it->second;
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace wtr::topology

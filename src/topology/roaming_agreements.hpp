@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "cellnet/rat.hpp"
 #include "topology/operator_registry.hpp"
@@ -40,14 +39,7 @@ class RoamingAgreementGraph {
   [[nodiscard]] std::optional<AgreementTerms> find(OperatorId home,
                                                    OperatorId visited) const;
 
-  /// True when home's SIMs may use `rat` on visited's network directly.
-  [[nodiscard]] bool allows(OperatorId home, OperatorId visited,
-                            cellnet::Rat rat) const;
-
   [[nodiscard]] std::size_t size() const noexcept { return terms_.size(); }
-
-  /// All visited operators home has a direct agreement with.
-  [[nodiscard]] std::vector<OperatorId> partners_of(OperatorId home) const;
 
  private:
   static std::uint64_t key(OperatorId home, OperatorId visited) noexcept {
@@ -55,7 +47,6 @@ class RoamingAgreementGraph {
   }
 
   std::unordered_map<std::uint64_t, AgreementTerms> terms_;
-  std::unordered_map<OperatorId, std::vector<OperatorId>> partners_;
 };
 
 }  // namespace wtr::topology

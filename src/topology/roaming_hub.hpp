@@ -57,7 +57,6 @@ class HubRegistry {
   void peer(HubId a, HubId b);
 
   [[nodiscard]] const RoamingHub& get(HubId id) const;
-  [[nodiscard]] std::size_t size() const noexcept { return hubs_.size(); }
   /// Hubs an operator belongs to, in join order (empty when none).
   [[nodiscard]] const std::vector<HubId>& hubs_of(OperatorId op) const;
 

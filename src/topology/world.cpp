@@ -1,7 +1,10 @@
 #include "topology/world.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <string_view>
+#include <utility>
 
 #include "cellnet/country.hpp"
 #include "stats/rng.hpp"
@@ -10,9 +13,20 @@ namespace wtr::topology {
 
 namespace {
 
-bool contains(const std::vector<std::string>& haystack, std::string_view needle) {
-  return std::any_of(haystack.begin(), haystack.end(),
-                     [&](const std::string& s) { return s == needle; });
+// MNOs of every country, before the pinned operators; with at most one
+// pinned operator per country this stays within kMaxMnosPerCountry.
+constexpr std::uint32_t kMnosPerCountry = 3;
+static_assert(kMnosPerCountry < kMaxMnosPerCountry);
+
+// Countries directly interconnected to the M2M hub's PoPs (the carrier in
+// §3 peers directly with MNOs in 19 countries, mostly Europe + LatAm).
+constexpr std::array<std::string_view, 19> kM2mHubDirectIsos{
+    "ES", "DE", "MX", "AR", "GB", "NL", "PT", "FR", "IT", "BE",
+    "IE", "AT", "PL", "RO", "BR", "CL", "CO", "PE", "UY"};
+
+template <typename Isos>
+bool contains(const Isos& isos, std::string_view iso) {
+  return std::find(std::begin(isos), std::end(isos), iso) != std::end(isos);
 }
 
 cellnet::RatMask full_rats() {
@@ -34,10 +48,9 @@ cellnet::RatMask no_2g_rats() {
 
 World World::build(const WorldConfig& config) {
   World world;
-  world.config_ = config;
   stats::Rng rng{config.seed};
 
-  // --- Operators: `mnos_per_country` MNOs per country, MNC = 01, 03, 05...
+  // --- Operators: kMnosPerCountry MNOs per country, MNC = 01, 03, 05...
   // A few well-known PLMNs are pinned so traces carry recognizable codes:
   // the NL IoT provisioner is 204-04 (the paper's example APN decodes to
   // mnc004.mcc204) and the ES HMNO is 214-07.
@@ -46,7 +59,7 @@ World World::build(const WorldConfig& config) {
     const auto& country = countries[c];
     const bool sunset_2g = contains(config.two_g_sunset_isos, country.iso);
     const bool nbiot = contains(config.nbiot_isos, country.iso);
-    for (std::uint32_t i = 0; i < config.mnos_per_country; ++i) {
+    for (std::uint32_t i = 0; i < kMnosPerCountry; ++i) {
       const auto mnc = static_cast<std::uint16_t>(1 + 2 * i);
       const cellnet::Plmn plmn{country.mcc, mnc, 2};
       const std::string name =
@@ -98,7 +111,7 @@ World World::build(const WorldConfig& config) {
   for (const auto& op : world.operators_.all()) {
     if (op.kind != OperatorKind::kMno) continue;
     const bool direct =
-        contains(config.m2m_hub_direct_isos, cellnet::country_at(op.country).iso);
+        contains(kM2mHubDirectIsos, cellnet::country_at(op.country).iso);
     world.hubs_.add_member(direct ? world.well_known_.m2m_hub
                                   : world.well_known_.partner_hub,
                            op.id);
@@ -135,8 +148,11 @@ World World::build(const WorldConfig& config) {
   }
 
   // Long-haul bilaterals: the first MNO of each country pair among the big
-  // markets, randomized to leave gaps (not every pair has an agreement —
-  // that is what makes RoamingNotAllowed rejections possible).
+  // markets, randomized to leave gaps. A gap changes the path (hub instead
+  // of direct, so the terms and breakout), never whether one exists: every
+  // MNO joins one of the two peered hubs above. Only the UK MVNOs' SIMs,
+  // which join no hub and hold no agreement, draw RoamingNotAllowed from a
+  // missing agreement: on every network but their host's.
   const std::vector<std::string> big_markets{"US", "MX", "BR", "AR", "CL", "CO",
                                              "AU", "JP", "CN", "IN", "ZA", "TR"};
   AgreementTerms longhaul_terms;
@@ -177,8 +193,18 @@ World World::build(const WorldConfig& config) {
       if (op.kind != OperatorKind::kMno) continue;
       const auto& country = cellnet::country_at(op.country);
       const cellnet::GeoPoint anchor{country.lat, country.lon};
-      world.coverage_.build_grid(op, anchor, config.grid_plan,
-                                 stats::mix64(config.seed, op.plmn.key()));
+      world.coverage_.build_grid(op, anchor, stats::mix64(config.seed, op.plmn.key()));
+    }
+  }
+
+  // --- Route table: every (home, visited) pair resolved once, after the
+  // last agreement and hub membership above.
+  const std::size_t n = world.operators_.size();
+  world.routes_.resize(n * n);
+  for (OperatorId home = 0; home < n; ++home) {
+    for (OperatorId visited = 0; visited < n; ++visited) {
+      world.routes_[world.route_index(home, visited)].roaming =
+          world.hubs_.resolve(world.bilateral_, home, visited);
     }
   }
 
@@ -186,16 +212,29 @@ World World::build(const WorldConfig& config) {
   // modelled as a strong preference for the first MNO of each country for
   // the ES HMNO (it concentrates 75% of signaling on 10 VMNOs, §3.2).
   for (std::size_t c = 0; c < countries.size(); ++c) {
-    const auto country = static_cast<cellnet::CountryId>(c);
-    const auto mnos = world.operators_.mnos_in_country(country);
-    if (mnos.empty()) continue;
-    std::vector<std::pair<OperatorId, double>> prefs;
-    prefs.emplace_back(mnos.front(), 10.0);
-    for (std::size_t i = 1; i < mnos.size(); ++i) prefs.emplace_back(mnos[i], 1.0);
-    world.steering_.set_preference(world.well_known_.es_hmno, country, prefs);
+    const auto mnos = world.operators_.mnos_in_country(static_cast<cellnet::CountryId>(c));
+    if (!mnos.empty()) world.set_steering_weight(world.well_known_.es_hmno, mnos.front(), 10.0);
   }
 
   return world;
+}
+
+CandidateList World::candidates(OperatorId home, cellnet::CountryId country) const {
+  CandidateList out;
+  for (OperatorId visited : operators_.mnos_in_country(country)) {
+    if (visited == home) continue;
+    const Route& route = routes_[route_index(home, visited)];
+    if (route.roaming.path == RoamingPath::kNone) continue;
+    out.push_back(VisitedCandidate{visited, route.weight});
+  }
+  // A stable insertion sort by descending weight over entries already in id
+  // order: ties stay by id, and a list this short needs nothing more.
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    for (std::size_t j = i; j > 0 && out[j].weight > out[j - 1].weight; --j) {
+      std::swap(out[j], out[j - 1]);
+    }
+  }
+  return out;
 }
 
 }  // namespace wtr::topology

@@ -5,7 +5,13 @@
 // revolve around — the UK MNO under study (§4), the four HMNOs behind the
 // M2M platform (§3: ES, DE, MX, AR), and the Dutch operator that provisions
 // the roaming smart-meter SIMs (§4.4).
+//
+// Nothing adds an operator, agreement or hub once World::build returns, so
+// the build ends by resolving every (home, visited) operator pair into a
+// route table: the agent step reads a roaming path or a steering weight
+// from it and never resolves one.
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -14,9 +20,19 @@
 #include "topology/operator_registry.hpp"
 #include "topology/roaming_agreements.hpp"
 #include "topology/roaming_hub.hpp"
-#include "topology/steering.hpp"
+#include "util/inline_vector.hpp"
 
 namespace wtr::topology {
+
+/// A visited network a roaming SIM may be steered to, with the home
+/// operator's steering weight for it.
+struct VisitedCandidate {
+  OperatorId visited = kInvalidOperator;
+  double weight = 1.0;
+};
+
+/// One country's candidates: every entry is an MNO of that country.
+using CandidateList = util::InlineVector<VisitedCandidate, kMaxMnosPerCountry>;
 
 struct WellKnownOperators {
   OperatorId uk_mno = kInvalidOperator;           // the visited MNO under study
@@ -32,9 +48,7 @@ struct WellKnownOperators {
 
 struct WorldConfig {
   std::uint64_t seed = 42;
-  std::uint32_t mnos_per_country = 3;
   bool build_coverage = true;                     // grids are the memory cost
-  CoverageMap::GridPlan grid_plan{};
   // Countries whose MNOs have retired 2G (the paper names JP/KR/SG/AU).
   std::vector<std::string> two_g_sunset_isos{"JP", "KR", "SG", "AU"};
   // §8 extension: countries whose first MNO deploys an NB-IoT overlay, and
@@ -42,42 +56,55 @@ struct WorldConfig {
   // "first international NB-IoT roaming trial").
   std::vector<std::string> nbiot_isos{};
   bool nbiot_roaming_enabled = false;
-  // Countries directly interconnected to the M2M hub's PoPs (the carrier in
-  // §3 peers directly with MNOs in 19 countries, mostly Europe + LatAm).
-  std::vector<std::string> m2m_hub_direct_isos{
-      "ES", "DE", "MX", "AR", "GB", "NL", "PT", "FR", "IT", "BE",
-      "IE", "AT", "PL", "RO", "BR", "CL", "CO", "PE", "UY"};
 };
 
 class World {
  public:
   static World build(const WorldConfig& config);
 
-  [[nodiscard]] const WorldConfig& config() const noexcept { return config_; }
   [[nodiscard]] const OperatorRegistry& operators() const noexcept { return operators_; }
   [[nodiscard]] const RoamingAgreementGraph& bilateral() const noexcept { return bilateral_; }
   [[nodiscard]] const HubRegistry& hubs() const noexcept { return hubs_; }
   [[nodiscard]] const CoverageMap& coverage() const noexcept { return coverage_; }
-  [[nodiscard]] const SteeringPolicy& steering() const noexcept { return steering_; }
   [[nodiscard]] const WellKnownOperators& well_known() const noexcept { return well_known_; }
 
-  /// Mutable steering access (scenarios install platform preferences).
-  [[nodiscard]] SteeringPolicy& mutable_steering() noexcept { return steering_; }
-
-  /// Effective roaming relation, bilateral-first then hubs.
+  /// Effective roaming relation home → visited, as HubRegistry::resolve
+  /// gives it (bilateral first, then hubs): a route-table read.
   [[nodiscard]] EffectiveRoaming resolve_roaming(OperatorId home,
-                                                 OperatorId visited) const {
-    return hubs_.resolve(bilateral_, home, visited);
+                                                 OperatorId visited) const noexcept {
+    return routes_[route_index(home, visited)].roaming;
   }
 
+  /// Steering of roaming (§3.3): the home operator's commercial preference
+  /// for a visited network over the other networks of its country. Every
+  /// pair starts at 1.0; scenarios install their preferences before the run.
+  void set_steering_weight(OperatorId home, OperatorId visited, double weight) noexcept {
+    routes_[route_index(home, visited)].weight = weight;
+  }
+
+  /// Visited-network candidates for a home SIM in a country: every MNO
+  /// there, other than home itself, that home reaches through some
+  /// commercial path, by descending steering weight (ties by id).
+  [[nodiscard]] CandidateList candidates(OperatorId home, cellnet::CountryId country) const;
+
  private:
-  WorldConfig config_{};
+  struct Route {
+    EffectiveRoaming roaming{};
+    double weight = 1.0;
+  };
+
+  [[nodiscard]] std::size_t route_index(OperatorId home, OperatorId visited) const noexcept {
+    assert(home < operators_.size() && visited < operators_.size());
+    return std::size_t{home} * operators_.size() + visited;
+  }
+
   OperatorRegistry operators_;
   RoamingAgreementGraph bilateral_;
   HubRegistry hubs_;
   CoverageMap coverage_;
-  SteeringPolicy steering_;
   WellKnownOperators well_known_;
+  // operators² entries, row-major by home operator; filled by build().
+  std::vector<Route> routes_;
 };
 
 }  // namespace wtr::topology

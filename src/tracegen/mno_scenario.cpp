@@ -49,7 +49,7 @@ MnoScenario::MnoScenario(const MnoScenarioConfig& config)
   const auto gb = cellnet::require_country_id("GB");
   for (const auto& op : world_->operators().all()) {
     if (op.country != gb) {
-      world_->mutable_steering().set_preference(op.id, gb, {{observer, 15.0}});
+      world_->set_steering_weight(op.id, observer, 15.0);
     }
   }
   build_smartphone_fleets();

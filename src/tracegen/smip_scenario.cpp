@@ -1,7 +1,5 @@
 #include "tracegen/smip_scenario.hpp"
 
-#include "cellnet/country.hpp"
-
 namespace wtr::tracegen {
 
 namespace {
@@ -33,8 +31,7 @@ SmipScenario::SmipScenario(const SmipScenarioConfig& config)
   const auto& wk = world_->well_known();
   // Steer the Dutch provisioner's UK roamers to the observed MNO (see
   // MnoScenario for the rationale).
-  world_->mutable_steering().set_preference(
-      wk.nl_iot_provisioner, cellnet::require_country_id("GB"), {{wk.uk_mno, 15.0}});
+  world_->set_steering_weight(wk.nl_iot_provisioner, wk.uk_mno, 15.0);
   sim::AgentOptions options;
   options.retry_rate_boost = 10.0;
   options.backoff = config.backoff;

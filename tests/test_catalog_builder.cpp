@@ -2,49 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <variant>
 
-// Counting global allocator: this binary's tests can assert how often a
-// code path reaches the heap. It is its own executable, so no other suite
-// sees the replacement.
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_malloc(std::size_t size) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-void* counted_new(std::size_t size) {
-  if (void* p = counted_malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-}  // namespace
-
-// Every non-aligned form, so each allocation and its release meet in the
-// same allocator: under ASan a form left out comes from the sanitizer's
-// allocator, and freeing it here is reported as a mismatch. The deletes
-// stay out of line: inlined into a caller, GCC pairs the std::free with the
-// caller's operator new and warns of a mismatch.
-void* operator new(std::size_t size) { return counted_new(size); }
-void* operator new[](std::size_t size) { return counted_new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_malloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_malloc(size);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "counting_new.hpp"
 
 namespace wtr::core {
 namespace {
@@ -358,14 +318,14 @@ TEST(CatalogAccumulator, OpeningPartialsDoesNotAllocatePerPartial) {
   auto signal = txn(0, 0, kForeign, kObserver);
   auto data = xdr(0, 0, kForeign, kObserver, "m2m.fleet-telemetry.example.io");
   ASSERT_EQ(data.apn.text().size(), 30u);
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = counting_new::allocations();
   for (int i = 0; i < kPartials; ++i) {
     signal.device = data.device = 1'000 + static_cast<signaling::DeviceHash>(i / 4);
     signal.time = data.time = (i % 4) * stats::kSecondsPerDay + 10;
     acc.on_signaling(signal, true);
     acc.on_xdr(data);
   }
-  const std::uint64_t allocations = g_allocations.load() - before;
+  const std::uint64_t allocations = counting_new::allocations() - before;
   EXPECT_LT(allocations, kPartials / 100u);
   EXPECT_EQ(acc.finalize().size(), static_cast<std::size_t>(kPartials));
 }

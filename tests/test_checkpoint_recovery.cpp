@@ -3,11 +3,13 @@
 //  * Process-level kill injection: wtr_ckpt_harness (path baked in via
 //    WTR_CKPT_HARNESS_PATH) is SIGKILL'd at randomized instants — each kill
 //    waits for a *new* snapshot inode to land, then fires after a random
-//    extra delay, so every cycle makes progress and the kill point varies —
-//    then restarted with --resume until it completes. The recovered output
-//    set (records / metrics / probe / manifest / resilience report) must be
-//    byte-identical to an uninterrupted golden run, at threads=1 and
-//    threads=4, under a non-empty FaultSchedule with 3GPP backoff enabled.
+//    extra delay scaled to the uninterrupted run's wall time, so every cycle
+//    makes progress, the kill point varies, and every kill lands with work
+//    still ahead of it on any host — then restarted with --resume until it
+//    completes. The recovered output set (records / metrics / probe /
+//    manifest / resilience report) must be byte-identical to an
+//    uninterrupted golden run, at threads=1 and threads=4, under a non-empty
+//    FaultSchedule with 3GPP backoff enabled.
 //
 //  * Snapshot integrity: a deliberately truncated, a bit-flipped and a
 //    version-skewed snapshot must be rejected with a nonzero exit and a
@@ -37,6 +39,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -133,6 +137,19 @@ int run_to_exit(const std::vector<std::string>& args,
   return wait_exit(spawn_harness(args, stderr_path));
 }
 
+/// Upper bound for the random extra delay before each kill: all kills'
+/// delays together stay under half of the uninterrupted run's wall time
+/// `golden_wall`, so a fast host cannot finish the run inside the delays and
+/// leave a kill with nothing to interrupt. Capped at 120 ms, which slow hosts
+/// (sanitizer builds) reach.
+int max_kill_delay_ms(std::chrono::steady_clock::duration golden_wall,
+                      int target_kills) {
+  const auto golden_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(golden_wall).count();
+  return static_cast<int>(
+      std::min<std::int64_t>(120, golden_ms / (2 * target_kills)));
+}
+
 ino_t snapshot_inode(const std::string& path) {
   struct stat sb{};
   return ::stat(path.c_str(), &sb) == 0 ? sb.st_ino : 0;
@@ -146,14 +163,16 @@ struct KillRunResult {
 
 /// Run the harness to completion while SIGKILL-ing it `target_kills` times.
 /// Each kill waits for a NEW snapshot (atomic rename = new inode) and fires
-/// after a random extra delay — a killed attempt therefore always resumes
-/// from a strictly newer checkpoint than the previous one, which guarantees
-/// forward progress no matter where the kill lands.
+/// after a random extra delay of at most `max_extra_ms` — a killed attempt
+/// therefore always resumes from a strictly newer checkpoint than the
+/// previous one, which guarantees forward progress no matter where the kill
+/// lands. A child that exits during the delay counts as finished, not killed.
 KillRunResult run_with_kills(const std::string& out_dir,
                              const std::vector<std::string>& base_args,
-                             int target_kills, std::mt19937& rng) {
+                             int target_kills, int max_extra_ms,
+                             std::mt19937& rng) {
   const std::string ckpt = out_dir + "/ckpt.bin";
-  std::uniform_int_distribution<int> extra_ms_dist{0, 120};
+  std::uniform_int_distribution<int> extra_ms_dist{0, max_extra_ms};
   KillRunResult result;
 
   while (result.attempts < 40) {
@@ -175,6 +194,10 @@ KillRunResult run_with_kills(const std::string& out_dir,
         }
         if (snapshot_inode(ckpt) != start_ino) {
           ::usleep(static_cast<useconds_t>(extra_ms) * 1000);
+          if (::waitpid(pid, &status, WNOHANG) == pid) {
+            reaped = true;  // finished during the extra delay
+            break;
+          }
           ::kill(pid, SIGKILL);
           killed = true;
           ++result.kills;
@@ -231,10 +254,14 @@ void run_kill_recovery(unsigned threads, std::uint32_t rng_seed) {
     return args;
   };
 
+  const auto golden_start = std::chrono::steady_clock::now();
   ASSERT_EQ(run_to_exit(with_out(golden_dir)), 0);
+  const int max_extra_ms =
+      max_kill_delay_ms(std::chrono::steady_clock::now() - golden_start, 3);
 
   std::mt19937 rng{rng_seed};
-  const auto result = run_with_kills(crash_dir, with_out(crash_dir), 3, rng);
+  const auto result =
+      run_with_kills(crash_dir, with_out(crash_dir), 3, max_extra_ms, rng);
   EXPECT_TRUE(result.completed);
   EXPECT_GE(result.kills, 3) << "run finished before enough kills landed — "
                                 "raise --devices or lower --ckpt-hours";
@@ -280,10 +307,14 @@ void run_storm_kill_recovery(unsigned threads, std::uint32_t rng_seed) {
     return args;
   };
 
+  const auto golden_start = std::chrono::steady_clock::now();
   ASSERT_EQ(run_to_exit(with_out(golden_dir)), 0);
+  const int max_extra_ms =
+      max_kill_delay_ms(std::chrono::steady_clock::now() - golden_start, 2);
 
   std::mt19937 rng{rng_seed};
-  const auto result = run_with_kills(crash_dir, with_out(crash_dir), 2, rng);
+  const auto result =
+      run_with_kills(crash_dir, with_out(crash_dir), 2, max_extra_ms, rng);
   EXPECT_TRUE(result.completed);
   EXPECT_GE(result.kills, 2) << "run finished before enough kills landed — "
                                 "raise --devices or lower --ckpt-hours";

@@ -194,11 +194,11 @@ TEST(WorldProperties, SteeringCandidatesAreCountryMnosWithPaths) {
   const auto& wk = world.well_known();
   for (const auto* iso : {"GB", "FR", "BR", "JP", "KE"}) {
     const auto local = world.operators().mnos_in_country(require_country_id(iso));
-    const auto candidates = world.steering().candidates(
-        world.operators(), world.bilateral(), world.hubs(), wk.es_hmno, require_country_id(iso));
+    const auto candidates = world.candidates(wk.es_hmno, require_country_id(iso));
     for (const auto& candidate : candidates) {
       EXPECT_NE(std::find(local.begin(), local.end(), candidate.visited), local.end());
-      EXPECT_NE(candidate.roaming.path, topology::RoamingPath::kNone);
+      EXPECT_NE(world.resolve_roaming(wk.es_hmno, candidate.visited).path,
+                topology::RoamingPath::kNone);
     }
   }
 }

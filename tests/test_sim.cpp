@@ -1,11 +1,18 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <set>
 #include <stdexcept>
 #include <string_view>
 
+#include "counting_new.hpp"
 #include "devices/fleet_builder.hpp"
 #include "sim/engine.hpp"
+#include "sim/stream_digest.hpp"
+#include "tracegen/mno_scenario.hpp"
+#include "tracegen/smip_scenario.hpp"
 
 namespace wtr::sim {
 namespace {
@@ -227,6 +234,110 @@ TEST_F(SelectionTest, RoamingScanPutsReachablePartnersFirst) {
           << iso << " seed " << seed;
     }
   }
+}
+
+TEST_F(SelectionTest, UkMvnoAbroadTriesEveryFeasibleMnoInShuffledOrder) {
+  // A UK MVNO joins no hub and holds no agreement, so its SIM abroad has no
+  // steering candidate: the whole scan comes from the "remaining local
+  // MNOs" step and its shuffle, and the visited network rejects every
+  // attempt. Every MNO's SIM has a path to every foreign MNO, so no other
+  // roamer of the default world reaches that step.
+  NetworkSelector selector{world()};
+  const auto mvno = world().well_known().uk_mvnos.front();
+  for (const auto* iso : {"ES", "FR", "US", "JP"}) {
+    auto device = roamer(iso);
+    device.home_operator = mvno;
+    device.home_country = require_country_id("GB");
+    std::vector<topology::OperatorId> feasible;
+    for (const auto id : world().operators().mnos_in_country(require_country_id(iso))) {
+      if (selector.radio_rat(device, id)) feasible.push_back(id);
+    }
+    ASSERT_GE(feasible.size(), 3u) << iso;
+    std::set<std::vector<topology::OperatorId>> orders;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      stats::Rng rng{seed};
+      std::vector<topology::OperatorId> order;
+      for (const auto& choice : selector.scan(device, std::nullopt, rng)) {
+        EXPECT_FALSE(choice.is_home_network);
+        EXPECT_EQ(world().resolve_roaming(mvno, choice.visited).path,
+                  topology::RoamingPath::kNone)
+            << iso;
+        order.push_back(choice.visited);
+      }
+      auto sorted = order;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(sorted, feasible) << iso << " seed " << seed;
+      orders.insert(order);
+    }
+    EXPECT_GT(orders.size(), 1u) << iso << ": every seed gave the same order";
+  }
+}
+
+TEST(NetworkSelector, ScanDoesNotAllocate) {
+  // A scan runs on every attach round; its lists are fixed-capacity, so
+  // it never reaches the heap: at home, roaming with steering candidates,
+  // a UK MVNO's SIM abroad (the shuffled no-path step), with and without an
+  // excluded network.
+  topology::WorldConfig config;
+  config.build_coverage = false;
+  const auto world = topology::World::build(config);
+  const auto& wk = world.well_known();
+  const NetworkSelector selector{world};
+  auto device_in = [&](topology::OperatorId home, const char* iso) {
+    devices::Device device;
+    device.home_operator = home;
+    device.capability = cellnet::RatMask{0b111};
+    device.home_country = world.operators().get(home).country;
+    device.current_country = require_country_id(iso);
+    return device;
+  };
+  const std::array devices{device_in(wk.uk_mno, "GB"), device_in(wk.uk_mvnos.front(), "GB"),
+                           device_in(wk.es_hmno, "GB"), device_in(wk.es_hmno, "FR"),
+                           device_in(wk.uk_mvnos.front(), "ES")};
+  stats::Rng rng{7};
+  constexpr int kScans = 1'200;
+  std::size_t entries = 0;
+  const std::uint64_t before = counting_new::allocations();
+  for (int i = 0; i < kScans; ++i) {
+    const auto& device = devices[static_cast<std::size_t>(i) % devices.size()];
+    std::optional<topology::OperatorId> exclude;
+    if (i % 2 == 1) exclude = world.operators().mnos_in_country(device.current_country).front();
+    entries += selector.scan(device, exclude, rng).size();
+  }
+  const std::uint64_t allocations = counting_new::allocations() - before;
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(entries, static_cast<std::size_t>(2 * kScans));
+}
+
+// Allocations per record inside the engine run, threads=1: with network
+// selection off the heap, what is left is mostly fixed per-run cost.
+template <typename Scenario, typename Config>
+double allocations_per_record(Config config) {
+  config.threads = 1;
+  Scenario scenario{config};
+  StreamDigest digest;
+  const std::uint64_t before = counting_new::allocations();
+  scenario.run({&digest});
+  const std::uint64_t allocations = counting_new::allocations() - before;
+  EXPECT_GT(digest.records(), 10'000u);
+  return static_cast<double>(allocations) / static_cast<double>(digest.records());
+}
+
+TEST(EngineAllocations, MnoRunStaysBelowOnePerTwentyRecords) {
+  tracegen::MnoScenarioConfig config;
+  config.seed = 42;
+  config.total_devices = 1'200;
+  config.days = 7;
+  config.build_coverage = true;
+  EXPECT_LT((allocations_per_record<tracegen::MnoScenario>(config)), 0.05);
+}
+
+TEST(EngineAllocations, SmipRunStaysBelowOnePerTwentyRecords) {
+  tracegen::SmipScenarioConfig config;
+  config.seed = 9;
+  config.total_devices = 800;
+  config.days = 7;
+  EXPECT_LT((allocations_per_record<tracegen::SmipScenario>(config)), 0.05);
 }
 
 // --- Engine-level smoke tests with a counting sink.

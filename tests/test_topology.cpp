@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "cellnet/country.hpp"
 #include "topology/world.hpp"
 
@@ -30,6 +33,25 @@ TEST(OperatorRegistry, MvnoInheritsHost) {
   EXPECT_EQ(registry.radio_network_of(host), host);
 }
 
+TEST(OperatorRegistry, RejectsAFifthMnoInACountry) {
+  // Network selection keeps a country's MNOs in fixed-capacity lists, so
+  // the registry refuses to grow a country past that capacity.
+  OperatorRegistry registry;
+  const auto gb = require_country_id("GB");
+  for (std::uint16_t mnc = 1; mnc <= kMaxMnosPerCountry; ++mnc) {
+    registry.add_mno(cellnet::Plmn{234, mnc, 2}, "GB" + std::to_string(mnc), gb, all_rats());
+  }
+  EXPECT_THROW(registry.add_mno(cellnet::Plmn{234, 99, 2}, "GB-extra", gb, all_rats()),
+               std::length_error);
+  EXPECT_EQ(registry.size(), kMaxMnosPerCountry);
+  EXPECT_EQ(registry.mnos_in_country(gb).size(), kMaxMnosPerCountry);
+  EXPECT_FALSE(registry.by_plmn(cellnet::Plmn{234, 99, 2}).has_value());
+  // Other countries and MVNOs are unaffected.
+  registry.add_mno(cellnet::Plmn{214, 1, 2}, "ES", require_country_id("ES"), all_rats());
+  registry.add_mvno(cellnet::Plmn{235, 50, 2}, "GB-MVNO", registry.mnos_in_country(gb).front());
+  EXPECT_EQ(registry.mnos_in_country(gb).size(), kMaxMnosPerCountry);
+}
+
 TEST(OperatorRegistry, MnosInCountryExcludesMvnos) {
   OperatorRegistry registry;
   const auto a =
@@ -55,27 +77,6 @@ TEST(Agreements, BilateralAddsBoth) {
   EXPECT_TRUE(graph.find(1, 2).has_value());
   EXPECT_TRUE(graph.find(2, 1).has_value());
   EXPECT_EQ(graph.find(1, 2)->breakout, BreakoutType::kLocalBreakout);
-}
-
-TEST(Agreements, AllowsChecksRatScope) {
-  RoamingAgreementGraph graph;
-  AgreementTerms terms;
-  terms.allowed_rats.set(cellnet::Rat::kTwoG);
-  graph.add(1, 2, terms);
-  EXPECT_TRUE(graph.allows(1, 2, cellnet::Rat::kTwoG));
-  EXPECT_FALSE(graph.allows(1, 2, cellnet::Rat::kFourG));
-  EXPECT_FALSE(graph.allows(1, 3, cellnet::Rat::kTwoG));
-}
-
-TEST(Agreements, PartnersSorted) {
-  RoamingAgreementGraph graph;
-  AgreementTerms terms{all_rats(), BreakoutType::kHomeRouted};
-  graph.add(1, 5, terms);
-  graph.add(1, 3, terms);
-  graph.add(1, 3, terms);  // duplicate overwrite, not re-listed
-  const auto partners = graph.partners_of(1);
-  EXPECT_EQ(partners, (std::vector<OperatorId>{3, 5}));
-  EXPECT_TRUE(graph.partners_of(9).empty());
 }
 
 TEST(Hubs, SharedHubResolves) {
@@ -137,15 +138,48 @@ TEST(Steering, CandidatesFilteredAndSorted) {
   config.build_coverage = false;
   const auto world = World::build(config);
   const auto& wk = world.well_known();
-  const auto candidates = world.steering().candidates(
-      world.operators(), world.bilateral(), world.hubs(), wk.es_hmno, require_country_id("GB"));
+  const auto candidates = world.candidates(wk.es_hmno, require_country_id("GB"));
   ASSERT_FALSE(candidates.empty());
-  // ES steering prefers the first GB MNO with weight 6.
+  // ES steering prefers the first GB MNO with weight 10.
   EXPECT_EQ(candidates.front().visited,
             world.operators().mnos_in_country(require_country_id("GB")).front());
   EXPECT_GT(candidates.front().weight, candidates.back().weight);
   for (const auto& candidate : candidates) {
-    EXPECT_NE(candidate.roaming.path, RoamingPath::kNone);
+    EXPECT_NE(world.resolve_roaming(wk.es_hmno, candidate.visited).path, RoamingPath::kNone);
+  }
+}
+
+// Every (home, visited) pair of the route table equals what the resolver
+// gives, field by field, on the default world and the two variants the
+// scenarios build (2G sunset in GB; NB-IoT in GB and NL with NB-IoT
+// roaming).
+TEST(World, RouteTableMatchesResolver) {
+  WorldConfig sunset;
+  sunset.two_g_sunset_isos.push_back("GB");
+  WorldConfig nbiot;
+  nbiot.nbiot_isos = {"GB", "NL"};
+  nbiot.nbiot_roaming_enabled = true;
+  for (WorldConfig config : {WorldConfig{}, sunset, nbiot}) {
+    config.build_coverage = false;
+    const auto world = World::build(config);
+    const auto n = static_cast<OperatorId>(world.operators().size());
+    std::size_t mismatches = 0;
+    std::size_t without_path = 0;
+    for (OperatorId home = 0; home < n; ++home) {
+      for (OperatorId visited = 0; visited < n; ++visited) {
+        const auto table = world.resolve_roaming(home, visited);
+        const auto resolved = world.hubs().resolve(world.bilateral(), home, visited);
+        const bool same = table.path == resolved.path &&
+                          table.terms.allowed_rats.bits() ==
+                              resolved.terms.allowed_rats.bits() &&
+                          table.terms.breakout == resolved.terms.breakout &&
+                          table.via_hub == resolved.via_hub;
+        if (!same) ++mismatches;
+        if (table.path == RoamingPath::kNone) ++without_path;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(without_path, 0u);  // the UK MVNOs' SIMs reach no foreign MNO
   }
 }
 
@@ -210,10 +244,14 @@ TEST_F(WorldTest, GlobalReachViaHubs) {
 
 TEST_F(WorldTest, CoverageGridsBuilt) {
   const auto& wk = world().well_known();
-  EXPECT_TRUE(world().coverage().has_grid(wk.uk_mno));
+  ASSERT_NE(world().coverage().grid(wk.uk_mno), nullptr);
+  EXPECT_EQ(world().coverage().grid(wk.uk_mno)->operator_plmn(),
+            world().operators().get(wk.uk_mno).plmn);
   EXPECT_GT(world().coverage().total_sectors(), 10'000u);
-  // MVNOs have no grid of their own.
-  EXPECT_FALSE(world().coverage().has_grid(wk.uk_mvnos.front()));
+  // MVNOs have no grid of their own, and no id past the last operator has one.
+  EXPECT_EQ(world().coverage().grid(wk.uk_mvnos.front()), nullptr);
+  EXPECT_EQ(world().coverage().grid(static_cast<OperatorId>(world().operators().size())),
+            nullptr);
 }
 
 TEST_F(WorldTest, DeterministicBuild) {
