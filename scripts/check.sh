@@ -12,13 +12,16 @@
 #     skewed by parallel load.
 #  2. Thread-sanitizer gate — a second sanitizer tree (TSan cannot be
 #     combined with ASan) building the sharded-engine determinism suite, the
-#     per-shard record log's stress suite, the APN intern table's suite and
-#     the golden scenario suite and running them under TSan: the shard loops
-#     and the merge that drains their logs run on real threads there, so any
-#     data race in the parallel engine — on the world tables every shard
-#     reads (per-country operator index, the route table of roaming paths
-#     and steering weights), or on the process-wide APN intern table whose
-#     ids cross the shard->merge log — fails the gate. The storm lane
+#     per-shard record log's stress suite, the APN intern table's suite, the
+#     binary trace suite and the golden scenario suite and running them
+#     under TSan: the shard loops and the merge that drains their logs run on
+#     real threads there, and so do the binary trace reader's decode workers
+#     and the caller that delivers their blocks in file order, so any data
+#     race in the parallel engine — on the world tables every shard reads
+#     (per-country operator index, the route table of roaming paths and
+#     steering weights), or on the process-wide APN intern table whose ids
+#     cross the shard->merge log and that decode workers fill — or in the
+#     replay pipeline's slot handoff fails the gate. The storm lane
 #     rides this tree: the closed-loop congestion suite (shard-private
 #     ledgers merging at engine barriers) runs under TSan too, then the
 #     ASan tree drives kill injection through an overload window
@@ -84,7 +87,7 @@ cmake -B "$tsan_dir" -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$tsan_dir" -j "$(nproc)" --target test_parallel_engine test_congestion \
-  test_scenario_determinism test_record_buffer test_apn
+  test_scenario_determinism test_record_buffer test_apn test_bintrace
 
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_parallel_engine"
 # The per-shard record log on its own: a producer thread streaming 200k
@@ -95,10 +98,14 @@ TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_record_buffer"
 # The APN intern table: four threads interning overlapping text sets (one
 # lock for inserts, none for reading an id's text).
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_apn"
+# The binary trace reader: workers decode blocks ahead into a ring of slots
+# while the calling thread delivers them in order, through clean replays,
+# failures at a given block and a sink that throws mid-stream.
+TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_bintrace"
 # Golden scenario bytes (threads=1 and threads=4 pin the same value) with
 # shard threads reading the shared per-country index and route table.
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_scenario_determinism"
-echo "check.sh: sharded engine race-free under TSan (parallel engine + record log + APN table + golden scenarios)"
+echo "check.sh: sharded engine and trace replay race-free under TSan (parallel engine + record log + APN table + binary trace reader + golden scenarios)"
 
 # --- Storm lane -------------------------------------------------------------
 # The congestion model's shard-private attempt ledgers merge on the engine's
@@ -135,9 +142,10 @@ python3 scripts/validate_trace.py "$trace_tmp/storm/trace.json" \
   --require-span ckpt_write --heartbeat "$trace_tmp/storm/heartbeat.json"
 echo "check.sh: traced storm run exports Perfetto-loadable JSON + live heartbeat"
 
-# Hung child: beats once, then stalls forever on attempt 1; attempt 2 (after
-# the supervisor SIGKILLs it) exits clean. The supervisor must detect the
-# stale heartbeat, kill, restart without backoff, and exit 0.
+# Hung child: beats once, then stalls forever on attempt 1 in a sleep it
+# started; attempt 2 (after the supervisor SIGKILLs it) exits clean. The
+# supervisor must detect the stale heartbeat, kill the child's whole process
+# group (the sleep included), restart without backoff, and exit 0.
 cat > "$trace_tmp/hung_child.sh" <<'EOF'
 #!/usr/bin/env bash
 out=""; heartbeat=""
@@ -151,7 +159,9 @@ done
 if [[ -f "$out/attempted" ]]; then exit 0; fi
 touch "$out/attempted"
 echo '{"phase":"run"}' > "$heartbeat"
-sleep 600
+sleep 600 &
+echo $! > "$out/sleep.pid"
+wait
 EOF
 chmod +x "$trace_tmp/hung_child.sh"
 if ! WTR_SUPERVISE_HANG_TIMEOUT_S=2 scripts/run_supervised.sh \
@@ -163,6 +173,14 @@ fi
 if ! grep -q "killing hung child" "$trace_tmp/hung.log"; then
   echo "check.sh: FAIL: supervisor exited 0 without detecting the hang" >&2
   cat "$trace_tmp/hung.log" >&2
+  exit 1
+fi
+# A killed process nobody reaps stays a zombie (state Z): that one is gone.
+hung_sleep=$(cat "$trace_tmp/hung/sleep.pid")
+hung_state=$(ps -o stat= -p "$hung_sleep" | tr -d ' ' || true)
+if [[ -n "$hung_state" && "$hung_state" != Z* ]]; then
+  echo "check.sh: FAIL: the hung child's sleep (PID $hung_sleep) outlived the supervisor" >&2
+  kill -9 "$hung_sleep" 2>/dev/null
   exit 1
 fi
 

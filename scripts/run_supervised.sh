@@ -20,7 +20,9 @@
 # child whose heartbeat goes stale for longer than the timeout is presumed
 # hung (deadlock, livelock, D-state I/O), killed with SIGKILL and restarted
 # from the last checkpoint immediately — a hang is not a crash loop, so no
-# backoff is applied.
+# backoff is applied. The child runs in its own session (setsid), and the
+# kill takes its whole process group, so nothing a hung child started (a
+# wrapper script's harness, say) outlives it beside the restarted run.
 
 set -uo pipefail
 
@@ -65,21 +67,29 @@ while :; do
     args+=("--heartbeat" "$heartbeat")
     rm -f "$heartbeat"
     start_ts=$(date +%s)
-    "$harness" "${args[@]}" &
+    # Backgrounded from a script (no job control), the child is no group
+    # leader, so setsid makes it one in place: $child is also its group id.
+    setsid "$harness" "${args[@]}" &
     child=$!
+    # Its own session also keeps the child from the terminal's Ctrl-C, so
+    # pass INT and TERM on to its group (the harness stops gracefully on
+    # either) and exit as the supervisor did when it shared them.
+    trap 'kill -INT -- -"$child" 2>/dev/null; exit 130' INT
+    trap 'kill -TERM -- -"$child" 2>/dev/null; exit 143' TERM
     while kill -0 "$child" 2>/dev/null; do
       sleep 1
       kill -0 "$child" 2>/dev/null || break
       if [[ $(heartbeat_age_s "$start_ts") -ge $hang_timeout_s ]]; then
         echo "run_supervised: heartbeat stale for >=${hang_timeout_s}s;" \
-             "killing hung child $child" >&2
-        kill -9 "$child" 2>/dev/null
+             "killing hung child $child and its process group" >&2
+        kill -9 -- -"$child" 2>/dev/null
         hung=1
         break
       fi
     done
     wait "$child"
     status=$?
+    trap - INT TERM
   else
     "$harness" "${args[@]}"
     status=$?

@@ -4,8 +4,10 @@
 // interchange path for paper-scale traces (tens of millions of records):
 // where CSV replay pays getline + field split + strict reparse per row, the
 // binary reader pays one CRC pass and a columnar decode per 4096-record
-// block. Built on util/binio + util/crc32; per-record column codecs live
-// with their record types in src/records.
+// block, and runs those on worker threads ahead of the calling thread,
+// which hands the decoded blocks to the sink in file order. Built on
+// util/binio + util/crc32; per-record column codecs live with their record
+// types in src/records.
 //
 // On-disk layout (all integers little-endian; varints are LEB128):
 //
@@ -184,8 +186,15 @@ struct BinaryTraceStats {
   std::uint64_t bytes = 0;       // total bytes consumed, header included
 };
 
-/// Streaming decoder with bounded memory: one block is resident at a time.
-/// Throws BinaryTraceError on any structural failure (see header comment).
+/// Streaming decoder with bounded memory. Up to three decode workers (one
+/// per core beside the caller's) check and decode blocks ahead, at most
+/// workers + 2 blocks and kMaxBlockBytes of payload at a time, while the
+/// calling thread reads the stream and delivers every block's records to
+/// the sink in file order, the same calls a one-block-at-a-time decode
+/// makes. Throws BinaryTraceError on any structural failure (see header
+/// comment) on the calling thread: a failure at block k, or the sink's own
+/// exception, surfaces after blocks 0..k-1 are delivered and before any
+/// record of block k or later. No worker outlives replay().
 class BinaryTraceReader {
  public:
   /// Largest payload the reader will buffer; a declared length beyond this

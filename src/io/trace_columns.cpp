@@ -25,7 +25,7 @@ void TraceDict::write(util::BinWriter& out) const {
   for (const auto& s : strings_) out.vstr(s);
 }
 
-TraceDict TraceDict::read(util::BinReader& in) {
+std::vector<std::string> read_dict(util::BinReader& in) {
   const std::uint64_t count = in.varint();
   // Each entry costs at least one length byte; a corrupt count larger than
   // the remaining payload must not drive the reserve below.
@@ -34,14 +34,10 @@ TraceDict TraceDict::read(util::BinReader& in) {
                              " exceeds remaining " + std::to_string(in.remaining()) +
                              " bytes");
   }
-  TraceDict dict;
-  dict.strings_.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    dict.strings_.push_back(in.vstr());
-    dict.index_.emplace(dict.strings_.back(),
-                        static_cast<std::uint32_t>(i));
-  }
-  return dict;
+  std::vector<std::string> strings;
+  strings.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) strings.push_back(in.vstr());
+  return strings;
 }
 
 void write_varint_column(util::BinWriter& out, std::span<const std::uint64_t> values) {

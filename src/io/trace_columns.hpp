@@ -22,8 +22,9 @@
 
 namespace wtr::io {
 
-/// Per-block string interning table. Each block carries its own dictionary
-/// (blocks stay self-contained, so a reader needs one block of memory and a
+/// Per-block string interning table, the writer's side of a block
+/// dictionary. Each block carries its own dictionary (blocks stay
+/// self-contained, so a reader decodes any block without the others and a
 /// checkpoint truncated at a block boundary loses no shared state).
 class TraceDict {
  public:
@@ -52,9 +53,6 @@ class TraceDict {
   void clear();
 
   void write(util::BinWriter& out) const;
-  /// Throws std::runtime_error on truncation or an entry count that cannot
-  /// fit the remaining bytes.
-  static TraceDict read(util::BinReader& in);
 
  private:
   /// Transparent, so intern(string_view) looks up without building a string.
@@ -69,6 +67,12 @@ class TraceDict {
   std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>> index_;
   std::unordered_map<std::uint64_t, std::uint32_t> keyed_;
 };
+
+/// The strings of a dictionary TraceDict::write laid out, in index order (a
+/// reader only looks entries up by index, so it builds no intern index).
+/// Throws std::runtime_error on truncation or an entry count that cannot fit
+/// the remaining bytes.
+[[nodiscard]] std::vector<std::string> read_dict(util::BinReader& in);
 
 // --- Column codecs ----------------------------------------------------------
 // Each writes exactly `values.size()` entries; readers take the count from

@@ -47,17 +47,26 @@ class CaptureSink final : public sim::RecordSink {
   std::vector<records::Cdr> cdrs;
   std::vector<records::Xdr> xdrs;
   std::vector<DwellRow> dwells;
+  std::string families;  // one letter per call, in call order: S, C, X or D
 
   void on_signaling(const signaling::SignalingTransaction& txn,
                     bool data_context) override {
     txns.emplace_back(txn, data_context);
+    families += 'S';
   }
-  void on_cdr(const records::Cdr& cdr) override { cdrs.push_back(cdr); }
-  void on_xdr(const records::Xdr& xdr) override { xdrs.push_back(xdr); }
+  void on_cdr(const records::Cdr& cdr) override {
+    cdrs.push_back(cdr);
+    families += 'C';
+  }
+  void on_xdr(const records::Xdr& xdr) override {
+    xdrs.push_back(xdr);
+    families += 'X';
+  }
   void on_dwell(signaling::DeviceHash device, std::int32_t day,
                 cellnet::Plmn visited_plmn, const cellnet::GeoPoint& location,
                 double seconds) override {
     dwells.push_back({device, day, visited_plmn, location, seconds});
+    families += 'D';
   }
 };
 
@@ -138,6 +147,17 @@ TEST(BinaryTraceRoundTrip, MixedFamiliesMultiBlock) {
   EXPECT_EQ(stats.bad_fields, 0u);
   EXPECT_GT(stats.blocks, 40u);  // block_records=7 ⇒ ~15 blocks per family
   EXPECT_EQ(stats.bytes, out.str().size());
+
+  // Blocks reach the sink in file order. All three families fill a block on
+  // the same iteration, so the file holds runs of 7 signaling, 7 CDR and
+  // 7 xDR records, then finish() flushes the remainders in that order.
+  std::string expected_families;
+  for (int block = 0; block < 100 / 7; ++block) {
+    expected_families += std::string(7, 'S') + std::string(7, 'C') + std::string(7, 'X');
+  }
+  expected_families += std::string(100 % 7, 'S') + std::string(100 % 7, 'C') +
+                       std::string(100 % 7, 'X');
+  EXPECT_EQ(sink.families, expected_families);
 
   ASSERT_EQ(sink.txns.size(), txns.size());
   for (std::size_t i = 0; i < txns.size(); ++i) {
@@ -436,6 +456,72 @@ TEST(BinaryTraceCorruption, EveryBitFlipIsDetected) {
   }
 }
 
+/// Offset of every frame (its length + CRC header) of a well-formed stream,
+/// the end marker's included.
+std::vector<std::size_t> frame_offsets(const std::string& bytes) {
+  std::vector<std::size_t> offsets;
+  for (std::size_t pos = 12; pos + 8 <= bytes.size();) {
+    offsets.push_back(pos);
+    std::uint32_t length = 0;
+    for (int i = 0; i < 4; ++i) {
+      length |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[pos + i]))
+                << (8 * i);
+    }
+    pos += 8 + length;
+  }
+  return offsets;
+}
+
+TEST(BinaryTraceCorruption, FailureAtBlockKDeliversExactlyTheBlocksBefore) {
+  // Blocks decode ahead of delivery, yet a failure at block k must surface
+  // with its own error once blocks 0..k-1 are delivered, before any record
+  // of block k or later reaches the sink.
+  std::ostringstream out;
+  std::vector<std::pair<signaling::SignalingTransaction, bool>> written;
+  {
+    BinaryTraceWriter::Options options;
+    options.block_records = 8;
+    BinaryTraceSink sink{out, options};
+    stats::Rng rng{64};
+    for (int i = 0; i < 64 * 8; ++i) {
+      written.emplace_back(random_txn(rng), i % 3 == 0);
+      sink.on_signaling(written.back().first, written.back().second);
+    }
+  }
+  const std::string bytes = out.str();
+  const auto frames = frame_offsets(bytes);
+  ASSERT_EQ(frames.size(), 65u);  // 64 blocks and the end marker
+
+  for (const std::size_t k : {0u, 1u, 31u, 63u}) {
+    const std::size_t payload = frames[k] + 8;
+    const std::size_t middle = payload + (frames[k + 1] - payload) / 2;
+    auto flipped = bytes;
+    flipped[middle] ^= 0x20;
+    const std::pair<std::string, std::string_view> cases[] = {
+        {flipped, "block CRC mismatch"},
+        {bytes.substr(0, frames[k] + 4), "truncated block header (4 of 8 bytes)"},
+        {bytes.substr(0, middle), "truncated block payload"},
+    };
+    for (const auto& [damaged, error] : cases) {
+      std::istringstream in{damaged};
+      CaptureSink sink;
+      try {
+        BinaryTraceReader{in}.replay(sink);
+        ADD_FAILURE() << "block " << k << ": replay did not throw (" << error << ")";
+      } catch (const BinaryTraceError& e) {
+        EXPECT_NE(std::string_view{e.what()}.find(error), std::string_view::npos)
+            << "block " << k << ": " << e.what();
+      }
+      ASSERT_EQ(sink.txns.size(), 8 * k) << "block " << k << ": " << error;
+      EXPECT_EQ(sink.families, std::string(8 * k, 'S'));
+      for (std::size_t i = 0; i < sink.txns.size(); ++i) {
+        expect_txn_eq(sink.txns[i].first, written[i].first);
+        EXPECT_EQ(sink.txns[i].second, written[i].second);
+      }
+    }
+  }
+}
+
 TEST(BinaryTraceCorruption, OversizedBlockLengthRejectedBeforeAllocation) {
   std::string bytes{kBinaryTraceMagic};
   for (int i = 0; i < 4; ++i)
@@ -568,6 +654,39 @@ TEST(BinaryTraceReplay, AutoDetectDispatchesBothFormats) {
     EXPECT_EQ(stats.delivered, 1u);
     ASSERT_EQ(sink.txns.size(), 1u);
     expect_txn_eq(sink.txns.front().first, txn);
+  }
+}
+
+TEST(BinaryTraceReplay, SinkExceptionReachesTheCaller) {
+  // The sink runs on the calling thread while workers decode blocks ahead:
+  // its own exception type must reach the caller unwrapped, the sink must
+  // see no call after it, and replay must return every time, with workers
+  // still holding queued blocks.
+  struct SinkFailure {};
+  class ThrowingSink final : public sim::RecordSink {
+   public:
+    std::uint64_t calls = 0;
+    void on_signaling(const signaling::SignalingTransaction&, bool) override {
+      if (++calls == 1000) throw SinkFailure{};
+    }
+  };
+
+  std::ostringstream out;
+  {
+    BinaryTraceWriter::Options options;
+    options.block_records = 20;
+    BinaryTraceSink sink{out, options};
+    stats::Rng rng{1000};
+    for (int i = 0; i < 100 * 20; ++i) sink.on_signaling(random_txn(rng), true);
+  }
+  const std::string bytes = out.str();
+  ASSERT_EQ(frame_offsets(bytes).size(), 101u);  // 100 blocks and the end marker
+
+  for (int run = 0; run < 50; ++run) {
+    std::istringstream in{bytes};
+    ThrowingSink sink;
+    EXPECT_THROW(BinaryTraceReader{in}.replay(sink), SinkFailure) << "run " << run;
+    EXPECT_EQ(sink.calls, 1000u) << "run " << run;
   }
 }
 

@@ -204,16 +204,33 @@ TEST(WorldProperties, SteeringCandidatesAreCountryMnosWithPaths) {
 }
 
 TEST(WorldProperties, ResolveRoamingIsDeterministic) {
+  // Two worlds built from one config agree on every (home, visited) route
+  // and on every home operator's candidates in every country.
   topology::WorldConfig config;
   config.build_coverage = false;
-  const auto world = topology::World::build(config);
-  const auto& wk = world.well_known();
-  for (const auto* iso : {"GB", "US", "AU"}) {
-    const auto visited = world.operators().mnos_in_country(require_country_id(iso)).front();
-    const auto a = world.resolve_roaming(wk.es_hmno, visited);
-    const auto b = world.resolve_roaming(wk.es_hmno, visited);
-    EXPECT_EQ(a.path, b.path);
-    EXPECT_EQ(a.terms.allowed_rats.bits(), b.terms.allowed_rats.bits());
+  const auto a = topology::World::build(config);
+  const auto b = topology::World::build(config);
+  const auto operators = static_cast<topology::OperatorId>(a.operators().size());
+  ASSERT_EQ(b.operators().size(), operators);
+  const auto countries = static_cast<cellnet::CountryId>(cellnet::all_countries().size());
+  for (topology::OperatorId home = 0; home < operators; ++home) {
+    for (topology::OperatorId visited = 0; visited < operators; ++visited) {
+      const auto ra = a.resolve_roaming(home, visited);
+      const auto rb = b.resolve_roaming(home, visited);
+      ASSERT_EQ(ra.path, rb.path) << home << " -> " << visited;
+      ASSERT_EQ(ra.terms.allowed_rats.bits(), rb.terms.allowed_rats.bits())
+          << home << " -> " << visited;
+      ASSERT_EQ(ra.terms.breakout, rb.terms.breakout) << home << " -> " << visited;
+    }
+    for (cellnet::CountryId country = 0; country < countries; ++country) {
+      const auto ca = a.candidates(home, country);
+      const auto cb = b.candidates(home, country);
+      ASSERT_EQ(ca.size(), cb.size()) << home << " in country " << country;
+      for (std::size_t i = 0; i < ca.size(); ++i) {
+        EXPECT_EQ(ca[i].visited, cb[i].visited) << home << " in country " << country;
+        EXPECT_EQ(ca[i].weight, cb[i].weight) << home << " in country " << country;
+      }
+    }
   }
 }
 
