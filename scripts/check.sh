@@ -14,9 +14,10 @@
 #     combined with ASan) building the sharded-engine determinism suite, the
 #     per-shard record log's stress suite, the APN intern table's suite, the
 #     binary trace suite and the golden scenario suite and running them
-#     under TSan: the shard loops and the merge that drains their logs run on
-#     real threads there, and so do the binary trace reader's decode workers
-#     and the caller that delivers their blocks in file order, so any data
+#     under TSan: the shard loops, the merge that drains their logs and the
+#     relays that feed every sink after the first run on real threads there,
+#     and so do the binary trace reader's decode workers and the caller that
+#     delivers their blocks in file order, so any data
 #     race in the parallel engine — on the world tables every shard reads
 #     (per-country operator index, the route table of roaming paths and
 #     steering weights), or on the process-wide APN intern table whose ids
@@ -89,6 +90,8 @@ cmake -B "$tsan_dir" -S . \
 cmake --build "$tsan_dir" -j "$(nproc)" --target test_parallel_engine test_congestion \
   test_scenario_determinism test_record_buffer test_apn test_bintrace
 
+# The sharded engine: shards, the merge, and relayed sinks (two or three
+# sinks per run, one of them throwing mid-run in one test).
 TSAN_OPTIONS="halt_on_error=1" "$tsan_dir/tests/test_parallel_engine"
 # The per-shard record log on its own: a producer thread streaming 200k
 # wakes against a consumer that replays them meanwhile and stalls now and
@@ -218,10 +221,15 @@ echo "check.sh: trace lane passed (TSan suite + validated export + hang-vs-slow 
 # --- Scale-smoke lane (100k agents through the wheel + arena) ---------------
 # A short-horizon 100k-device MNO run is big enough to cycle the timing
 # wheel through hundreds of buckets and leave part of the staggered fleet
-# dormant in the agent arena, yet small enough for sanitizer builds. The
-# records/metrics/probe dumps must be byte-identical between threads=1 and
-# threads=4 within each tree (never compared across trees — different
-# instrumentation, same-tree identity is the invariant).
+# dormant in the agent arena, yet small enough for sanitizer builds. With
+# --faults the harness feeds a ResilienceReport beside records.bin, so at
+# threads=4 the report is a relayed sink: a relay thread replays the merged
+# stream into it while the merge writes records.bin, and the report counts
+# into the shared metrics registry through the counter handles it holds —
+# under ASan and TSan both. The records/metrics/probe/resilience dumps must
+# be byte-identical between threads=1 and threads=4 within each tree (never
+# compared across trees — different instrumentation, same-tree identity is
+# the invariant).
 cmake --build "$tsan_dir" -j "$(nproc)" --target wtr_ckpt_harness
 scale_devices=100000
 scale_days=2
@@ -230,17 +238,17 @@ for tree in "$build_dir" "$tsan_dir"; do
   for t in 1 4; do
     mkdir -p "$trace_tmp/scale-$name-t$t"
     TSAN_OPTIONS="halt_on_error=1" "$tree/tests/wtr_ckpt_harness" \
-      --out "$trace_tmp/scale-$name-t$t" \
+      --out "$trace_tmp/scale-$name-t$t" --faults \
       --devices "$scale_devices" --days "$scale_days" --threads "$t"
   done
-  for f in records.bin metrics.txt probe.txt; do
+  for f in records.bin metrics.txt probe.txt resilience.txt; do
     if ! cmp -s "$trace_tmp/scale-$name-t1/$f" "$trace_tmp/scale-$name-t4/$f"; then
       echo "check.sh: FAIL: scale smoke ($name): $f differs between threads=1 and threads=4" >&2
       exit 1
     fi
   done
 done
-echo "check.sh: scale-smoke lane passed (${scale_devices} agents, threads=1 == threads=4 under ASan and TSan)"
+echo "check.sh: scale-smoke lane passed (${scale_devices} agents, relayed resilience report, threads=1 == threads=4 under ASan and TSan)"
 
 # --- Perfbench lane -----------------------------------------------------------
 # perfbench/ builds its own out-of-tree package (.bench_build/) from src/.

@@ -72,17 +72,47 @@ struct Engine::Shard {
 
 namespace {
 
-/// Stop every shard after the merge gave up on a window: release shards
-/// waiting on a full log, then wait for all of them, so nothing still runs
-/// when the shards are destroyed. The merge's own exception is the one
-/// rethrown, so a shard's is dropped here.
-template <typename Shards>
-void abandon_shards(Shards& shards, util::ThreadPool& pool) noexcept {
-  for (auto& shard : shards) shard.buffer.abandon();
+/// A caller sink after the first in a sharded run. The merge writes every
+/// wake it replays into `log` (it is the log's producer here), and a pool
+/// worker of the relay's own replays the log into `sink` in order.
+struct Relay {
+  explicit Relay(RecordSink* sink) : sink(sink) {}
+  RecordBuffer log;
+  RecordSink* sink;
+};
+
+/// A relay's window, on its pool worker: replay each wake the merge
+/// publishes into the sink until the merge ends the window. A sink that
+/// throws abandons the log, which stops the merge at its next wait on the
+/// relay's bound (or at the barrier, whichever comes first); the pool
+/// rethrows the sink's exception there.
+void drain_relay(Relay& relay) {
   try {
-    pool.wait();
+    while (relay.log.wait_for_wake()) (void)relay.log.replay_wake(*relay.sink);
   } catch (...) {
+    relay.log.abandon();
+    throw;
   }
+}
+
+/// Publish the wake the merge just replayed to every relay, waiting at a
+/// relay's bound the way a shard waits at its own. False when a relay's
+/// sink failed.
+bool end_relayed_wake(std::deque<Relay>& relays, stats::SimTime next_wake) {
+  for (auto& relay : relays) {
+    relay.log.end_wake(next_wake);
+    if (relay.log.over_bound() && !relay.log.make_room()) return false;
+  }
+  return true;
+}
+
+/// Release every task of a window the merge gave up on: shards waiting on a
+/// full log return at once, relays once they have replayed what the merge
+/// published before.
+template <typename Shards>
+void release_window(Shards& shards, std::deque<Relay>& relays) noexcept {
+  for (auto& shard : shards) shard.buffer.abandon();
+  for (auto& relay : relays) relay.log.close_failed();
 }
 
 /// The merge's step for a wake of `agent` from shard `s`: wait until the
@@ -357,14 +387,37 @@ void Engine::run(std::vector<RecordSink*> sinks) {
         "sim::Engine::run: engine already ran; build a new engine for a "
         "second run (the event queue is consumed)");
   }
+  obs::EngineProbe* probe = config_.probe;
+  // A sink reached twice would be called from two threads once relayed.
+  for (std::size_t i = 0; i < sinks.size(); ++i) {
+    if (sinks[i] == nullptr) {
+      throw std::invalid_argument("sim::Engine::run: null RecordSink");
+    }
+    const auto before = sinks.begin() + static_cast<std::ptrdiff_t>(i);
+    if (sinks[i] == probe || std::find(sinks.begin(), before, sinks[i]) != before) {
+      throw std::invalid_argument("sim::Engine::run: sink " + std::to_string(i) +
+                                  " is passed twice (or is the engine's probe)");
+    }
+  }
   ran_ = true;
   arena_.freeze();
   beat(resumed_ ? "resume" : "init", resumed_ ? resume_time_ : 0,
        /*force=*/true);
 
+  const std::size_t shard_count = std::min<std::size_t>(
+      std::max(1u, config_.threads), std::max<std::size_t>(1, arena_.size()));
+  const bool sharded = shard_count > 1;
+
+  // The merge replays into the first sink itself and relays the rest.
+  std::deque<Relay> relays;  // never relocates: pool tasks hold addresses
   MultiSink fanout;
-  for (auto* sink : sinks) fanout.add(sink);
-  obs::EngineProbe* probe = config_.probe;
+  for (std::size_t i = 0; i < sinks.size(); ++i) {
+    if (sharded && i > 0) {
+      fanout.add(&relays.emplace_back(sinks[i]).log);
+    } else {
+      fanout.add(sinks[i]);
+    }
+  }
   if (probe != nullptr) {
     fanout.add(probe);
     if (!resumed_) {
@@ -376,16 +429,14 @@ void Engine::run(std::vector<RecordSink*> sinks) {
     }
   }
 
-  const std::size_t shard_count = std::min<std::size_t>(
-      std::max(1u, config_.threads), std::max<std::size_t>(1, arena_.size()));
-  const bool sharded = shard_count > 1;
   std::deque<Shard> shards;  // never relocates: policies hold member addresses
   for (std::size_t s = 0; s < shard_count; ++s) {
     shards.emplace_back(config_, /*private_metrics=*/sharded);
     shards.back().trace = trace_.get();
     shards.back().track = obs::FlightRecorder::shard_track(s);
   }
-  // Declared after `shards`, so it joins its workers before they go.
+  // Declared after `shards` and `relays`, so it joins its workers before
+  // they go.
   std::optional<util::ThreadPool> pool;
   if (sharded) {
     // Each shard queue takes its agents' pending wakes in global pop order,
@@ -395,9 +446,11 @@ void Engine::run(std::vector<RecordSink*> sinks) {
     for (const Event& event : queue_.snapshot_events()) {
       shards[event.agent % shard_count].queue.schedule(event.time, event.agent);
     }
-    // One worker per shard: a shard waiting on a full log must never keep
-    // another from starting, or the merge could wait on that one forever.
-    pool.emplace(shard_count);
+    // One worker per shard and per relay: a shard waiting on a full log
+    // must never keep another from starting, or the merge could wait on
+    // that one forever, and the merge waiting on a full relay log needs
+    // that relay draining.
+    pool.emplace(shard_count + relays.size());
   }
 
   AgentContext ctx;
@@ -460,7 +513,7 @@ void Engine::run(std::vector<RecordSink*> sinks) {
       queue_depth_hwm_ = queue_.size();
     }
     bool shutdown_hit = false;
-    bool shard_failed = false;
+    bool window_failed = false;
     try {
       if (sharded) {
         for (auto& shard : shards) {
@@ -473,6 +526,10 @@ void Engine::run(std::vector<RecordSink*> sinks) {
               throw;
             }
           });
+        }
+        for (auto& relay : relays) {
+          relay.log.open_window();
+          pool->submit([&relay] { drain_relay(relay); });
         }
       }
       while (!queue_.empty() && *queue_.next_time() <= stop) {
@@ -498,9 +555,10 @@ void Engine::run(std::vector<RecordSink*> sinks) {
         }
         if (sharded) {
           const std::size_t s = event.agent % shard_count;
+          for (auto& relay : relays) relay.log.begin_wake(event.agent);
           const auto next = replay_logged_wake(shards[s].buffer, s, event.agent, fanout);
-          if (!next) {
-            shard_failed = true;
+          if (!next || !end_relayed_wake(relays, *next)) {
+            window_failed = true;
             break;
           }
           if (*next != RecordBuffer::kNoNextWake) queue_.schedule(*next, event.agent);
@@ -510,8 +568,16 @@ void Engine::run(std::vector<RecordSink*> sinks) {
       }
     } catch (...) {
       // A sink or an invariant check threw on this thread: shards may be
-      // waiting on full logs, so release and drain them before unwinding.
-      if (sharded) abandon_shards(shards, *pool);
+      // waiting on full logs and relays on further wakes, so release them
+      // and wait for every task before unwinding. The merge's exception is
+      // the one rethrown, so a task's is dropped here.
+      if (sharded) {
+        release_window(shards, relays);
+        try {
+          pool->wait();
+        } catch (...) {
+        }
+      }
       throw;
     }
     loop_span.set_args("wakes", static_cast<std::int64_t>(wakes_ - window_wakes_before),
@@ -519,14 +585,16 @@ void Engine::run(std::vector<RecordSink*> sinks) {
     loop_span.close();
     if (sharded) {
       merge_wall_s_ += seconds_since(loop_start);
-      // A failed shard stopped the merge early: release the others, then
-      // let the pool rethrow the failure.
-      if (shard_failed) {
-        for (auto& shard : shards) shard.buffer.abandon();
+      // A failed shard or relay stopped the merge early: release the other
+      // tasks, then let the pool rethrow the failure.
+      if (window_failed) {
+        release_window(shards, relays);
+      } else {
+        for (auto& relay : relays) relay.log.finish_window();
       }
       pool->wait();
-      if (shard_failed) {
-        throw std::logic_error("sim::Engine::run: a shard closed its log as failed "
+      if (window_failed) {
+        throw std::logic_error("sim::Engine::run: a shard or relay stopped the window "
                                "without raising an error");
       }
       for (std::size_t s = 0; s < shard_count; ++s) {
@@ -536,6 +604,17 @@ void Engine::run(std::vector<RecordSink*> sinks) {
           throw std::logic_error(
               "sim::Engine::run: shard " + std::to_string(s) + " published " +
               std::to_string(log.published_wakes()) + " wakes but the merge replayed " +
+              std::to_string(log.consumed_wakes()));
+        }
+      }
+      for (std::size_t r = 0; r < relays.size(); ++r) {
+        // ... and every wake the merge relayed reached the relay's sink.
+        const RecordBuffer& log = relays[r].log;
+        if (log.consumed_wakes() != log.published_wakes()) {
+          throw std::logic_error(
+              "sim::Engine::run: the merge relayed " +
+              std::to_string(log.published_wakes()) + " wakes to sink " +
+              std::to_string(r + 1) + " but its relay replayed " +
               std::to_string(log.consumed_wakes()));
         }
       }

@@ -20,6 +20,15 @@
 // and fault schedule. Agents never interact (each owns a forked RNG; World,
 // NetworkSelector and OutcomePolicy are consulted read-only), which is what
 // makes the shard windows embarrassingly parallel.
+//
+// Relays: with K > 1 the merge replays each wake into the first sink and the
+// probe itself. Every further sink gets a relay, one more RecordBuffer with
+// the roles turned: the merge writes the wake into it as it replays, and a
+// pool worker of the relay's own replays it into that sink, in the same
+// order. So the sinks run beside the merge instead of one after another on
+// it. The barrier waits for the relays too, so checkpoints, congestion
+// absorb, shutdown and run()'s return all see every sink fed exactly the
+// records before the barrier. K = 1, or K > 1 with one sink, builds no relay.
 
 #include <deque>
 #include <memory>
@@ -249,6 +258,14 @@ class Engine {
   /// once per engine; a second call throws std::logic_error (the queue and
   /// agent state are consumed by the first run, so a silent rerun would
   /// produce an empty — not repeated — output).
+  ///
+  /// Every sink receives every record in the threads=1 order. Sinks must be
+  /// non-null and distinct, the probe included (std::invalid_argument
+  /// otherwise, before anything runs), and must not share mutable state:
+  /// with K > 1 shards every sink after the first is fed on its own relay
+  /// thread, beside the others. A sink's exception leaves run() once every
+  /// thread has stopped. When a relayed sink throws, the other sinks may
+  /// already have received records past the one it failed on.
   void run(std::vector<RecordSink*> sinks);
 
   /// Total wake events processed by the last run.
@@ -263,8 +280,9 @@ class Engine {
     return shard_wakes_;
   }
   /// Wall time of the global pop loop replaying shard logs, its waits for
-  /// unpublished wakes included (0 for threads=1, where nothing is logged).
-  /// It overlaps window_wall_s(): the merge runs while the shards do.
+  /// unpublished wakes and on full relay logs included (0 for threads=1,
+  /// where nothing is logged). It overlaps window_wall_s(): the merge runs
+  /// while the shards do.
   [[nodiscard]] double merge_wall_s() const noexcept { return merge_wall_s_; }
 
   /// True when the last run() returned early — graceful shutdown request
@@ -364,8 +382,8 @@ class Engine {
   std::uint64_t queue_depth_hwm_ = 0;
   /// Timing-wheel / arena telemetry collected at end of run (global queue
   /// plus shard queues; record-log bytes are the chunks held at the high-
-  /// water mark, summed over shards); published as quarantined trace.*
-  /// gauges only.
+  /// water mark, summed over the shard logs, relay logs not counted);
+  /// published as quarantined trace.* gauges only.
   std::uint64_t wheel_rebases_ = 0;
   std::uint64_t record_buffer_peak_bytes_ = 0;
   stats::SimTime last_checkpoint_time_ = -1;

@@ -1,11 +1,17 @@
 #pragma once
 
-// Per-shard record log for the sharded engine: a bounded single-producer /
-// single-consumer stream of wakes. The shard thread (producer) streams every
-// record its agents emit into the log instead of the real sinks and
-// publishes each wake as soon as it finishes it; the merge thread (consumer)
-// replays published wakes into the sinks in the exact single-threaded global
-// order while the shard is still running its window.
+// Record log for the sharded engine: a bounded single-producer /
+// single-consumer stream of wakes. It carries two hops. Shard -> merge: the
+// shard thread (producer) streams every record its agents emit into its log
+// instead of the real sinks and publishes each wake as soon as it finishes
+// it; the merge thread (consumer) replays published wakes into the sinks in
+// the exact single-threaded global order while the shard is still running
+// its window. Merge -> relay: with more than one sink, the merge (producer)
+// also writes each wake it replays into one log per further sink, and that
+// sink's relay thread (consumer) replays the log into it, in the same order.
+// The merge then calls the producer side of this API (open_window included)
+// and the relay the consumer side; the waits, the bound and the failure
+// paths are the same on both hops.
 //
 // Layout: fixed-size chunks holding one tagged entry per record, each wake
 // opened by a wake entry (agent, record count, next scheduled wake). A wake
@@ -28,7 +34,9 @@
 // (kLeadChunks + 1) * kChunkBytes whatever the window length. This cannot
 // deadlock: a producer over the bound holds at least one published wake the
 // consumer has not read, so the consumer is never waiting on a waiting
-// producer.
+// producer. (A merge waiting on a full relay log may hold a shard waiting
+// on the merge; the relay's consumer still runs, on its own worker, and
+// waits on nothing but the merge's publications.)
 //
 // Replay is strictly sequential per shard: within one shard, the relative
 // order of two same-time wakes is the same under the shard-local and the
@@ -62,7 +70,7 @@ class RecordBuffer final : public RecordSink {
   RecordBuffer(const RecordBuffer&) = delete;
   RecordBuffer& operator=(const RecordBuffer&) = delete;
 
-  // --- producer side (shard thread) ----------------------------------------
+  // --- producer side (shard thread; the merge for a relay) -----------------
   /// Open the records of one wake of `agent`.
   void begin_wake(AgentIndex agent);
   /// Close the open wake and publish it. `next_wake` is the agent's next
@@ -90,9 +98,9 @@ class RecordBuffer final : public RecordSink {
                 cellnet::Plmn visited_plmn, const cellnet::GeoPoint& location,
                 double seconds) override;
 
-  // --- consumer side (merge thread) ----------------------------------------
-  /// Reopen the log for the next window. Call while the producer is idle,
-  /// before it starts that window.
+  // --- consumer side (merge thread; a relay's own thread) -------------------
+  /// Reopen the log for the next window. Call before the producer starts
+  /// that window, while no other thread uses the log.
   void open_window() noexcept;
   /// Wait until the next wake is published. Returns false when the producer
   /// finished its window or failed without publishing it.

@@ -25,6 +25,11 @@
 //    whose state rides in the snapshot), and identical ResilienceReport
 //    totals — threads 1 and 4.
 //
+//  * Relayed trace file: a sharded run whose checkpointed WTRTRC1 file is
+//    its second sink, so a relay thread writes it, is stopped at a cadence
+//    boundary and resumed; the file must equal an uninterrupted threads=1
+//    run's.
+//
 //  * Graceful shutdown: a sink requests shutdown at a fixed record count.
 //    One shard without congestion stops between two wakes; sharded runs stop
 //    at the next barrier, and a window that reaches the horizon completes
@@ -50,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/file_sink.hpp"
 #include "ckpt/shutdown.hpp"
 #include "ckpt/snapshot.hpp"
 #include "faults/fault_schedule.hpp"
@@ -530,6 +536,55 @@ TEST(CheckpointRecovery, ResumeInsideOutageWindowIsDeterministic) {
 
     fs::remove_all(dir);
   }
+}
+
+// --- relayed trace file --------------------------------------------------------
+
+/// A run into a StreamDigest and then a checkpointed trace file, the second
+/// sink and so, with threads > 1, the relayed one, with an 8 h cadence.
+/// `stop_hours` > 0 stops the run there; `resume` continues it from the
+/// snapshot. Sealed once the run completes. Returns the digest.
+sim::StreamDigest run_trace_file(unsigned threads, const std::string& dir,
+                                 const std::string& trace_path, std::int64_t stop_hours,
+                                 bool resume) {
+  auto config = faulted_config(threads, nullptr, {});
+  config.ckpt.every_sim_hours = 8;
+  config.ckpt.path = dir + "/ckpt.bin";
+  config.ckpt.stop_after_sim_hours = stop_hours;
+  tracegen::MnoScenario scenario{config};
+  sim::StreamDigest digest;
+  ckpt::BinaryTraceFileSink file{trace_path, resume};
+  scenario.engine().register_checkpointable("stream", &digest);
+  scenario.engine().register_checkpointable("trace_file", &file);
+  if (resume) scenario.resume_from(config.ckpt.path);
+  scenario.run({&digest, &file});
+  EXPECT_EQ(scenario.engine().interrupted(), stop_hours > 0);
+  if (!scenario.engine().interrupted()) file.finish();
+  return digest;
+}
+
+TEST(CheckpointRecovery, RelayedTraceFileResumesByteIdentically) {
+  const auto dir = make_temp_dir("relayed");
+  ASSERT_FALSE(dir.empty());
+  const std::string golden_path = dir + "/golden.wtr";
+  const std::string resumed_path = dir + "/resumed.wtr";
+  // The uninterrupted run writes its file on the calling thread (one shard,
+  // no relay) and snapshots at the same cadence, so its block flushes land
+  // where the interrupted run's do.
+  const auto golden = run_trace_file(1, dir, golden_path, 0, false);
+  expect_families(golden);
+
+  // Two shards: stop on a cadence boundary, then resume to the horizon.
+  const auto cut = run_trace_file(2, dir, resumed_path, 16, false);
+  EXPECT_GT(cut.records(), 0u);
+  EXPECT_LT(cut.records(), golden.records());
+  EXPECT_EQ(run_trace_file(2, dir, resumed_path, 0, true), golden);
+
+  const auto golden_bytes = read_file(golden_path);
+  EXPECT_FALSE(golden_bytes.empty());
+  EXPECT_TRUE(read_file(resumed_path) == golden_bytes)
+      << "resumed trace file differs from the uninterrupted one";
+  fs::remove_all(dir);
 }
 
 // --- graceful shutdown -------------------------------------------------------

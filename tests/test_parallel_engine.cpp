@@ -3,7 +3,9 @@
 // field of all four record families, sim::StreamDigest), dumps the metrics
 // and the probe trajectory, and asserts exact equality between threads=1
 // and threads∈{2,8} — across all three scenarios and under a non-empty
-// FaultSchedule.
+// FaultSchedule. Each run feeds two digests: with threads > 1 the first is
+// fed on the merge thread and the second on a relay thread of its own, and
+// both must see the threads=1 stream.
 //
 // Manifests are compared with timers detached: phase wall-times are the
 // one inherently volatile manifest section (they measure the host, not the
@@ -15,11 +17,14 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
 
+#include "core/catalog_builder.hpp"
+#include "io/bintrace.hpp"
 #include "obs/observability.hpp"
 #include "obs/run_manifest.hpp"
 #include "sim/record_buffer.hpp"
@@ -30,6 +35,7 @@
 #include "tracegen/smip_scenario.hpp"
 #include "util/thread_pool.hpp"
 
+#include "catalog_fingerprint.hpp"
 #include "digest_checks.hpp"
 #include "run_dumps.hpp"
 
@@ -42,6 +48,7 @@ namespace {
 /// build-independent.
 struct RunCapture {
   sim::StreamDigest stream;
+  sim::StreamDigest relayed;  // the second sink: a relay's when sharded
   std::string metrics;
   std::string probe;
   std::string manifest;
@@ -53,7 +60,7 @@ struct RunCapture {
 template <typename Scenario>
 RunCapture capture(Scenario& scenario, const obs::RunObservation& observation) {
   RunCapture cap;
-  scenario.run({&cap.stream});
+  scenario.run({&cap.stream, &cap.relayed});
   cap.metrics = dump_metrics(observation.metrics());
   cap.probe = dump_probe(observation.probe());
   obs::RunManifest manifest{"parallel-test"};
@@ -112,6 +119,8 @@ void expect_identical(const RunCapture& base, const RunCapture& sharded,
                       unsigned threads) {
   SCOPED_TRACE("threads=" + std::to_string(threads));
   EXPECT_EQ(base.stream, sharded.stream);
+  EXPECT_EQ(base.stream, base.relayed);
+  EXPECT_EQ(base.stream, sharded.relayed);
   EXPECT_EQ(base.metrics, sharded.metrics);
   EXPECT_EQ(base.probe, sharded.probe);
   EXPECT_EQ(base.manifest, sharded.manifest);
@@ -209,10 +218,96 @@ TEST(ParallelEngine, ThreadsClampToAgentCount) {
   EXPECT_LE(scenario.engine().shards_used(), scenario.engine().agent_count());
 }
 
+TEST(ParallelEngine, DuplicateSinkIsRejected) {
+  // Relayed, the second entry would reach the sink from a second thread.
+  // The probe rides the record stream too, so it counts as a sink.
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    obs::RunObservation observation;
+    tracegen::MnoScenarioConfig config;
+    config.seed = 42;
+    config.total_devices = 50;
+    config.threads = threads;
+    config.build_coverage = false;
+    config.obs = observation.view();
+    tracegen::MnoScenario scenario{config};
+    sim::StreamDigest a;
+    sim::StreamDigest b;
+    EXPECT_THROW(scenario.run({&a, &b, &a}), std::invalid_argument);
+    EXPECT_THROW(scenario.run({&a, &observation.probe()}), std::invalid_argument);
+    EXPECT_EQ(a.records(), 0u);
+    // Rejected before anything ran: the engine still runs once.
+    scenario.run({&a, &b});
+    EXPECT_GT(a.records(), 0u);
+    EXPECT_EQ(a, b);
+  }
+}
+
+// --- relayed sinks -------------------------------------------------------------
+
+/// CatalogGolden.Mno's scenario into three sinks: a digest, the catalog and
+/// an in-memory WTRTRC1 trace. `digest_last` moves the digest from the front
+/// to the back, so that with threads > 1 it is relayed.
+struct ThreeSinkRun {
+  sim::StreamDigest stream;
+  CatalogFingerprint catalog;
+  std::string trace;
+};
+
+ThreeSinkRun run_three_sinks(unsigned threads, bool digest_last) {
+  tracegen::MnoScenarioConfig config;
+  config.seed = 42;
+  config.total_devices = 1'200;
+  config.days = 7;
+  config.build_coverage = true;
+  config.threads = threads;
+  tracegen::MnoScenario scenario{config};
+  core::CatalogAccumulator accumulator{{scenario.observer_plmn(), scenario.family_plmns()}};
+  std::ostringstream bytes;
+  io::BinaryTraceSink trace{bytes};
+  ThreeSinkRun run;
+  if (digest_last) {
+    scenario.run({&accumulator, &trace, &run.stream});
+  } else {
+    scenario.run({&run.stream, &accumulator, &trace});
+  }
+  trace.finish();
+  run.trace = bytes.str();
+  run.catalog = catalog_fingerprint(accumulator);
+  return run;
+}
+
+void expect_same_three(const ThreeSinkRun& base, const ThreeSinkRun& run) {
+  EXPECT_EQ(run.stream, base.stream);
+  EXPECT_EQ(run.catalog, base.catalog);
+  // Sizes only: a byte dump of the trace would swamp the log.
+  EXPECT_TRUE(run.trace == base.trace)
+      << "trace bytes differ (" << run.trace.size() << " vs " << base.trace.size() << ")";
+}
+
+TEST(ParallelEngine, RelayedSinksMatchThreads1) {
+  const auto base = run_three_sinks(1, /*digest_last=*/false);
+  expect_families(base.stream);
+  EXPECT_EQ(base.catalog, kMnoCatalogGolden);
+  EXPECT_GT(base.trace.size(), 0u);
+  for (const unsigned threads : {2u, 3u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_same_three(base, run_three_sinks(threads, /*digest_last=*/false));
+  }
+  SCOPED_TRACE("threads=2, digest relayed");
+  expect_same_three(base, run_three_sinks(2, /*digest_last=*/true));
+}
+
 // --- failures and the record-log bound ----------------------------------------
 
-/// Throws from the merge thread on its `throw_at`-th record, after a pause
-/// long enough for every shard to run ahead and block on a full log.
+/// The failure ThrowingSink raises: a type of its own, so a test can tell
+/// that run() rethrows the sink's exception itself.
+struct SinkFailure : std::runtime_error {
+  SinkFailure() : std::runtime_error("sink failed mid-run") {}
+};
+
+/// Throws SinkFailure on its `throw_at`-th record, after a pause long enough
+/// for every shard to run ahead and block on a full log.
 class ThrowingSink final : public sim::RecordSink {
  public:
   explicit ThrowingSink(std::uint64_t throw_at) : throw_at_(throw_at) {}
@@ -228,14 +323,18 @@ class ThrowingSink final : public sim::RecordSink {
   void tick() {
     if (++records_ == throw_at_) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      throw std::runtime_error("sink failed mid-run");
+      throw SinkFailure();
     }
   }
   std::uint64_t throw_at_;
   std::uint64_t records_ = 0;
 };
 
-TEST(ParallelEngine, SinkThrowingMidRunIsRethrown) {
+/// Runs MNO 600 devices into a ThrowingSink, alone or (`relayed`) behind a
+/// digest, so that with threads > 1 it throws on its relay thread while the
+/// merge goes on feeding the digest. run() must rethrow the sink's own
+/// exception every time.
+void expect_sink_failure_rethrown(bool relayed) {
   for (const unsigned threads : {2u, 4u}) {
     // Cadence 0 runs one whole-horizon window, so the shards are far past
     // the log bound and waiting when the sink throws; a daily cadence
@@ -250,19 +349,32 @@ TEST(ParallelEngine, SinkThrowingMidRunIsRethrown) {
       config.build_coverage = false;
       config.ckpt.every_sim_hours = cadence_hours;  // no path: nothing written
       tracegen::MnoScenario scenario{config};
+      sim::StreamDigest first;
       ThrowingSink sink(1000);
+      std::vector<sim::RecordSink*> sinks{&sink};
+      if (relayed) sinks.insert(sinks.begin(), &first);
       try {
-        scenario.run({&sink});
+        scenario.run(sinks);
         ADD_FAILURE() << "run() returned despite the throwing sink";
-      } catch (const std::runtime_error& error) {
+      } catch (const SinkFailure& error) {
         EXPECT_STREQ(error.what(), "sink failed mid-run");
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << "run() threw something else: " << error.what();
       }
     }
     // Nothing of the failed runs leaks into a fresh one.
     const auto base = run_mno(1);
     expect_families(base.stream);
-    EXPECT_EQ(base.stream, run_mno(threads).stream);
+    const auto fresh = run_mno(threads);
+    EXPECT_EQ(base.stream, fresh.stream);
+    EXPECT_EQ(base.stream, fresh.relayed);
   }
+}
+
+TEST(ParallelEngine, SinkThrowingMidRunIsRethrown) { expect_sink_failure_rethrown(false); }
+
+TEST(ParallelEngine, RelayedSinkThrowingMidRunIsRethrown) {
+  expect_sink_failure_rethrown(true);
 }
 
 /// Records per shard (agent index modulo the shard count), for the bound
